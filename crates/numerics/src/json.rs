@@ -40,22 +40,99 @@ pub fn write_string(s: &str) -> String {
 
 /// Serialize a float: finite values as shortest-roundtrip decimals,
 /// NaN/Inf (illegal in JSON) as `null` — the convention [`parse`] maps
-/// back to [`Value::Null`].
+/// back to [`Value::Null`]. Allocates; hot emitters use [`push_f64`].
 #[must_use]
 pub fn write_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{}` always prints positionally ("0.0000000000015"); prefer the
-        // exponent form whenever it is strictly shorter (both are
-        // shortest-roundtrip digit-wise, and JSON accepts either).
-        let plain = format!("{v}");
-        let exp = format!("{v:e}");
-        if exp.len() < plain.len() {
-            exp
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
+}
+
+/// Append [`write_f64`]'s bytes for `v` to `out` without a heap
+/// allocation.
+///
+/// `{v}` always prints positionally ("0.0000000000015"); the exponent
+/// form wins whenever it is strictly shorter. Both forms carry the same
+/// shortest-roundtrip digits, so the float is formatted once (`{v:e}`,
+/// into a stack buffer) and the positional form, when it is the shorter
+/// one, is laid out from those digits.
+pub fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let mut buf = StackBuf::default();
+    fmt::write(&mut buf, format_args!("{v:e}")).expect("a float's exponent form fits 32 bytes");
+    let exp_form = buf.as_str();
+    let (mantissa, exp) = exp_form.split_once('e').expect("`{:e}` prints an 'e'");
+    let exp: i32 = exp.parse().expect("`{:e}` prints an integer exponent");
+    let (sign, mantissa) = match mantissa.strip_prefix('-') {
+        Some(m) => ("-", m),
+        None => ("", mantissa),
+    };
+    // Digits d1 d2 … dn with value d1.d2…dn × 10^exp.
+    let (lead, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let n = 1 + frac.len() as i32;
+    let plain_len = sign.len() as i32
+        + if exp >= n - 1 {
+            exp + 1
+        } else if exp < 0 {
+            1 - exp + n
         } else {
-            plain
-        }
+            n + 1
+        };
+    if (exp_form.len() as i32) < plain_len {
+        out.push_str(exp_form);
+        return;
+    }
+    out.push_str(sign);
+    if exp >= n - 1 {
+        out.push_str(lead);
+        out.push_str(frac);
+        push_zeros(out, exp - (n - 1));
+    } else if exp < 0 {
+        out.push_str("0.");
+        push_zeros(out, -exp - 1);
+        out.push_str(lead);
+        out.push_str(frac);
     } else {
-        "null".to_string()
+        let split = exp as usize;
+        out.push_str(lead);
+        out.push_str(&frac[..split]);
+        out.push('.');
+        out.push_str(&frac[split..]);
+    }
+}
+
+fn push_zeros(out: &mut String, n: i32) {
+    for _ in 0..n {
+        out.push('0');
+    }
+}
+
+/// A fixed stack buffer for one `{:e}`-formatted float (at most 24
+/// bytes: sign, 17 digits, point, `e-324`).
+#[derive(Default)]
+struct StackBuf {
+    bytes: [u8; 32],
+    len: usize,
+}
+
+impl StackBuf {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("fmt writes UTF-8")
+    }
+}
+
+impl fmt::Write for StackBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -157,6 +234,7 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] with a byte offset on any grammar violation.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -170,6 +248,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -322,14 +401,17 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one go. Those are all ASCII, so the run ends
+                    // on a UTF-8 boundary of the `&str` input.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -369,8 +451,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("malformed number"))
     }
@@ -379,6 +461,109 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-`format!` writer `push_f64` replaced, kept verbatim as the
+    /// byte-for-byte oracle.
+    fn write_f64_oracle(v: f64) -> String {
+        if v.is_finite() {
+            let plain = format!("{v}");
+            let exp = format!("{v:e}");
+            if exp.len() < plain.len() {
+                exp
+            } else {
+                plain
+            }
+        } else {
+            "null".to_string()
+        }
+    }
+
+    fn assert_matches_oracle(v: f64) {
+        let mut out = String::from("[");
+        push_f64(&mut out, v);
+        assert_eq!(&out[1..], write_f64_oracle(v), "bits {:#018x}", v.to_bits());
+        assert_eq!(write_f64(v), write_f64_oracle(v));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        #[test]
+        fn push_f64_matches_oracle_on_random_bits(bits in 0u64..u64::MAX) {
+            let v = f64::from_bits(bits);
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            prop_assert_eq!(out, write_f64_oracle(v));
+        }
+
+        #[test]
+        fn push_f64_matches_oracle_on_decimal_scales(m in -1.0e6..1.0e6, e in -330i32..310) {
+            assert_matches_oracle(m * 10f64.powi(e));
+            assert_matches_oracle((m as i64) as f64 * 10f64.powi(e));
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_oracle_on_edge_values() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5e-12,
+            0.1,
+            0.25,
+            123_456.789,
+            9_007_199_254_740_993.0,
+        ];
+        for v in edges {
+            assert_matches_oracle(v);
+        }
+        for k in -330..=310 {
+            assert_matches_oracle(10f64.powi(k));
+            assert_matches_oracle(-1.234_567_890_123_456_7 * 10f64.powi(k));
+        }
+        for i in -100_000i64..=100_000 {
+            assert_matches_oracle(i as f64);
+        }
+        for k in 0..64 {
+            assert_matches_oracle((1u64 << k) as f64);
+            assert_matches_oracle(((1u64 << k) - 1) as f64);
+        }
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_runs() {
+        let doc = r#""é\"😀\n\u00e9x\\Ω""#;
+        assert_eq!(parse(doc).unwrap().as_str(), Some("é\"😀\néx\\Ω"));
+        let doc = r#"{"ключ\t": "\u0041ß\ud83d\ude00末"}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.get("ключ\t").unwrap().as_str(), Some("Aß😀末"));
+        let s = "ü\"\\\n\u{1}€😀";
+        assert_eq!(parse(&write_string(s)).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn raw_control_character_rejected_at_its_offset() {
+        // The offset is that of the control byte itself, after a
+        // multi-byte run and an escape.
+        let doc = "[\"é\\n€\u{7}x\"]";
+        let err = parse(doc).unwrap_err();
+        assert_eq!(err.offset, doc.find('\u{7}').unwrap());
+        assert_eq!(err.offset, 9);
+        assert_eq!(err.message, "raw control character in string");
+        let err = parse("\"ab\ncd\"").unwrap_err();
+        assert_eq!(err.offset, 3);
+    }
 
     #[test]
     fn scalars_and_nesting() {

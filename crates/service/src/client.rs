@@ -1,19 +1,23 @@
 //! Blocking client for the `aerothermod` line protocol, shared by the
 //! `aeroctl` CLI, the integration drills, and CI.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use aerothermo_numerics::json::{self, write_f64, write_string, Value};
+use aerothermo_numerics::json::{self, push_f64, write_string, Value};
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_sweep::SweepPlan;
+
+use crate::framing::LineBuf;
 
 /// One connection to a running daemon. Requests are serialized on the
 /// connection: `call` writes a line and blocks for the response line.
 pub struct Client {
     stream: UnixStream,
-    pending: Vec<u8>,
+    lines: LineBuf,
+    /// The outgoing request line, reused across calls.
+    req: String,
 }
 
 impl Client {
@@ -26,7 +30,8 @@ impl Client {
             .map_err(|e| SolverError::BadInput(format!("connecting to '{socket_path}': {e}")))?;
         Ok(Self {
             stream,
-            pending: Vec::new(),
+            lines: LineBuf::new(),
+            req: String::new(),
         })
     }
 
@@ -58,14 +63,22 @@ impl Client {
     /// # Errors
     /// Transport failures, malformed responses, and server-side errors.
     pub fn call(&mut self, request: &str) -> Result<Value, SolverError> {
-        let io = |e: std::io::Error| SolverError::BadInput(format!("daemon socket: {e}"));
-        debug_assert!(!request.contains('\n'), "requests must be single lines");
-        self.stream.write_all(request.as_bytes()).map_err(io)?;
-        self.stream.write_all(b"\n").map_err(io)?;
-        self.stream.flush().map_err(io)?;
+        self.req.clear();
+        self.req.push_str(request);
+        self.send()
+    }
 
-        let line = self.read_line().map_err(io)?;
-        let v = json::parse(&line)
+    /// Send the request line in `self.req` and parse the response line.
+    fn send(&mut self) -> Result<Value, SolverError> {
+        let io = |e: std::io::Error| SolverError::BadInput(format!("daemon socket: {e}"));
+        debug_assert!(!self.req.contains('\n'), "requests must be single lines");
+        self.req.push('\n');
+        self.stream.write_all(self.req.as_bytes()).map_err(io)?;
+
+        let line = self.lines.read_line(&mut self.stream).map_err(io)?;
+        let line = String::from_utf8_lossy(line);
+        let line = line.trim();
+        let v = json::parse(line)
             .map_err(|e| SolverError::BadInput(format!("daemon response JSON: {e}")))?;
         match v.get("ok") {
             Some(Value::Bool(true)) => Ok(v),
@@ -76,25 +89,6 @@ impl Client {
             _ => Err(SolverError::BadInput(format!(
                 "daemon response missing 'ok': {line}"
             ))),
-        }
-    }
-
-    /// Read bytes until one full newline-terminated response line.
-    fn read_line(&mut self) -> std::io::Result<String> {
-        loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.pending.drain(..=pos).collect();
-                return Ok(String::from_utf8_lossy(&line).trim().to_string());
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "daemon closed the connection mid-response",
-                ));
-            }
-            self.pending.extend_from_slice(&chunk[..n]);
         }
     }
 
@@ -286,11 +280,13 @@ impl Client {
     /// # Errors
     /// Exact-path evaluation and transport failures.
     pub fn query(&mut self, altitude: f64, velocity: f64) -> Result<Value, SolverError> {
-        self.call(&format!(
-            "{{\"op\": \"query\", \"altitude\": {}, \"velocity\": {}}}",
-            write_f64(altitude),
-            write_f64(velocity),
-        ))
+        self.req.clear();
+        self.req.push_str("{\"op\": \"query\", \"altitude\": ");
+        push_f64(&mut self.req, altitude);
+        self.req.push_str(", \"velocity\": ");
+        push_f64(&mut self.req, velocity);
+        self.req.push('}');
+        self.send()
     }
 
     /// Batched stagnation-heating queries.
@@ -302,17 +298,14 @@ impl Client {
         altitude: &[f64],
         velocity: &[f64],
     ) -> Result<Value, SolverError> {
-        let list = |xs: &[f64]| {
-            xs.iter()
-                .map(|&x| write_f64(x))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        self.call(&format!(
-            "{{\"op\": \"query_batch\", \"altitude\": [{}], \"velocity\": [{}]}}",
-            list(altitude),
-            list(velocity),
-        ))
+        self.req.clear();
+        self.req
+            .push_str("{\"op\": \"query_batch\", \"altitude\": ");
+        push_f64_list(&mut self.req, altitude);
+        self.req.push_str(", \"velocity\": ");
+        push_f64_list(&mut self.req, velocity);
+        self.req.push('}');
+        self.send()
     }
 
     /// Fetch the daemon's metrics exposition. `format` is
@@ -335,4 +328,16 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), SolverError> {
         self.call("{\"op\": \"shutdown\"}").map(|_| ())
     }
+}
+
+/// Append `xs` as a JSON array, `[a, b, c]`.
+fn push_f64_list(out: &mut String, xs: &[f64]) {
+    out.push('[');
+    for (k, &x) in xs.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        push_f64(out, x);
+    }
+    out.push(']');
 }

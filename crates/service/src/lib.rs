@@ -33,7 +33,8 @@
 //! `{"ok": false, "error": "..."}`. Ops: `ping`, `submit`,
 //! `submit_shard`, `federate`, `status`, `results`, `cancel`, `resume`,
 //! `query`, `query_batch`, `metrics`, `shutdown`. See `README.md`
-//! § Service for the full schemas.
+//! § Service for the full schemas. Request lines are capped at
+//! [`MAX_LINE_BYTES`] and batches at [`MAX_BATCH_POINTS`].
 //!
 //! # Determinism
 //!
@@ -48,13 +49,14 @@
 
 pub mod client;
 pub mod coordinator;
+mod framing;
 pub mod jobs;
 pub mod server;
 
 pub use client::Client;
 pub use coordinator::{run_coordinated_sweep, CoordinatedSweep, CoordinatorConfig};
 pub use jobs::{JobPhase, JobRegistry};
-pub use server::Daemon;
+pub use server::{Daemon, MAX_BATCH_POINTS, MAX_LINE_BYTES};
 
 /// Daemon configuration: socket, data directory, pool sizes, and the
 /// resident surrogate corridor.

@@ -10,7 +10,8 @@
 //! existing [`aerothermo_sweep::run_sweep`] worker pool, so the protocol
 //! layer adds no numerical path of its own.
 
-use std::io::{ErrorKind, Read, Write};
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,13 +22,23 @@ use aerothermo_atmosphere::us76::Us76;
 use aerothermo_core::surrogate::{ExactResponse, RadiativeModel, StagnationResponse};
 use aerothermo_core::{HeatingModel, SurrogateBuilder, SurrogateQuery, SurrogateTable};
 use aerothermo_gas::eq_table::air9_table;
-use aerothermo_numerics::json::{self, write_f64, write_string, Value};
+use aerothermo_numerics::json::{self, push_f64, write_string, Value};
 use aerothermo_numerics::metrics;
 use aerothermo_numerics::telemetry::{counters, Counter, SolverError};
 use aerothermo_sweep::{ShardSpec, ShardStrategy, SweepPlan};
 
+use crate::framing::LineBuf;
 use crate::jobs::{Job, JobRegistry};
 use crate::ServiceConfig;
+
+/// Longest accepted request line, its newline included. A connection
+/// that sends more without a newline gets one `{"ok": false}` response
+/// and is closed, so a client cannot grow the daemon's buffer without
+/// bound.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Most points one `query_batch` request may carry.
+pub const MAX_BATCH_POINTS: usize = 65_536;
 
 /// Recover from poisoning instead of cascading (a panicking handler is
 /// already contained by `catch_unwind`; its locks must stay usable).
@@ -203,42 +214,42 @@ fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
 
 /// Serve one connection: hand-rolled newline framing (a `BufReader`
 /// would drop partial lines across read-timeout ticks), one response
-/// line per request line, until EOF or shutdown.
-fn serve_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
+/// line per request line, until EOF, an oversize line, or shutdown.
+fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
     // The periodic timeout lets the thread notice a shutdown raised on
     // another connection instead of blocking forever on an idle client.
     stream
         .set_read_timeout(Some(Duration::from_millis(250)))
         .ok();
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let (mut reader, mut writer) = (&stream, &stream);
+    let mut lines = LineBuf::new();
+    let mut resp = String::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut chunk) {
+        match lines.fill(&mut reader) {
             Ok(0) => return,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
+            Ok(_) => {
+                while let Some(line) = lines.next_line() {
+                    let line = String::from_utf8_lossy(line);
                     let line = line.trim();
                     if line.is_empty() {
                         continue;
                     }
-                    let resp = respond(shared, line);
-                    let write = out
-                        .write_all(resp.as_bytes())
-                        .and_then(|()| out.write_all(b"\n"))
-                        .and_then(|()| out.flush());
-                    if write.is_err() {
+                    respond(shared, line, &mut resp);
+                    resp.push('\n');
+                    if writer.write_all(resp.as_bytes()).is_err() {
                         return;
                     }
+                }
+                if lines.partial_len() >= MAX_LINE_BYTES {
+                    let mut resp = err_json(&format!(
+                        "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                    ));
+                    resp.push('\n');
+                    writer.write_all(resp.as_bytes()).ok();
+                    return;
                 }
             }
             Err(e)
@@ -254,15 +265,19 @@ fn err_json(msg: &str) -> String {
     format!("{{\"ok\": false, \"error\": {}}}", write_string(msg))
 }
 
-/// Produce exactly one response line for one request line. Handler
-/// panics are contained per request: the connection (and daemon) stay
-/// up and the client sees a structured error.
-fn respond(shared: &Arc<Shared>, line: &str) -> String {
-    match catch_unwind(AssertUnwindSafe(|| handle(shared, line))) {
-        Ok(Ok(resp)) => resp,
+/// Write exactly one response line (without its newline) for one
+/// request line into `out`. Handler panics are contained per request:
+/// the connection (and daemon) stay up and the client sees a structured
+/// error.
+fn respond(shared: &Arc<Shared>, line: &str, out: &mut String) {
+    out.clear();
+    let err = match catch_unwind(AssertUnwindSafe(|| handle(shared, line, out))) {
+        Ok(Ok(())) => return,
         Ok(Err(e)) => err_json(&e.to_string()),
         Err(_) => err_json("internal error: request handler panicked"),
-    }
+    };
+    out.clear();
+    out.push_str(&err);
 }
 
 fn req_job(shared: &Shared, v: &Value) -> Result<Arc<Job>, SolverError> {
@@ -280,6 +295,42 @@ fn req_f64(v: &Value, key: &str) -> Result<f64, SolverError> {
     v.get(key)
         .and_then(Value::as_f64)
         .ok_or_else(|| SolverError::BadInput(format!("request missing number '{key}'")))
+}
+
+/// Reject a non-finite query coordinate (`1e400` parses to infinity)
+/// before it reaches the table or the exact path; `what` names it.
+fn finite(x: f64, what: impl FnOnce() -> String) -> Result<f64, SolverError> {
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(SolverError::BadInput(format!(
+            "{} must be finite, got {x}",
+            what()
+        )))
+    }
+}
+
+/// The finite coordinate array `key` of a `query_batch` request.
+fn batch_coords(v: &Value, key: &str) -> Result<Vec<f64>, SolverError> {
+    let xs = v
+        .get(key)
+        .and_then(Value::as_array)
+        .ok_or_else(|| SolverError::BadInput(format!("query_batch missing array '{key}'")))?;
+    if xs.len() > MAX_BATCH_POINTS {
+        return Err(SolverError::BadInput(format!(
+            "query_batch '{key}' has {} points; the limit is {MAX_BATCH_POINTS}",
+            xs.len()
+        )));
+    }
+    xs.iter()
+        .enumerate()
+        .map(|(k, x)| {
+            let x = x
+                .as_f64()
+                .ok_or_else(|| SolverError::BadInput(format!("'{key}' entries must be numbers")))?;
+            finite(x, || format!("'{key}'[{k}]"))
+        })
+        .collect()
 }
 
 fn opt_usize(v: &Value, key: &str) -> Result<Option<usize>, SolverError> {
@@ -314,17 +365,96 @@ fn status_json(job: &Job) -> String {
     )
 }
 
-fn query_item(altitude: f64, velocity: f64, q: &SurrogateQuery, exact: bool) -> String {
-    format!(
-        "{{\"altitude\": {}, \"velocity\": {}, \"p_stag\": {}, \"t_stag\": {}, \
-         \"q_conv\": {}, \"q_rad\": {}, \"exact\": {exact}}}",
-        write_f64(altitude),
-        write_f64(velocity),
-        write_f64(q.p_stag),
-        write_f64(q.t_stag),
-        write_f64(q.q_conv),
-        write_f64(q.q_rad),
-    )
+/// Append one answered point, `{"altitude": …, …, "exact": …}`.
+fn push_query_item(
+    out: &mut String,
+    altitude: f64,
+    velocity: f64,
+    q: &SurrogateQuery,
+    exact: bool,
+) {
+    let fields = [
+        ("{\"altitude\": ", altitude),
+        (", \"velocity\": ", velocity),
+        (", \"p_stag\": ", q.p_stag),
+        (", \"t_stag\": ", q.t_stag),
+        (", \"q_conv\": ", q.q_conv),
+        (", \"q_rad\": ", q.q_rad),
+    ];
+    for (key, x) in fields {
+        out.push_str(key);
+        push_f64(out, x);
+    }
+    out.push_str(if exact {
+        ", \"exact\": true}"
+    } else {
+        ", \"exact\": false}"
+    });
+}
+
+fn query(shared: &Shared, v: &Value, out: &mut String) -> Result<(), SolverError> {
+    let h = finite(req_f64(v, "altitude")?, || "'altitude'".into())?;
+    let u = finite(req_f64(v, "velocity")?, || "'velocity'".into())?;
+    let (q, exact) = shared.answer(h, u)?;
+    out.push_str("{\"ok\": true, \"result\": ");
+    push_query_item(out, h, u, &q, exact);
+    out.push('}');
+    Ok(())
+}
+
+/// Answer a batch: the in-corridor points go through one
+/// [`SurrogateTable::query_batch`] call (bitwise equal to per-point
+/// `query`), the rest through the exact path in request order.
+fn query_batch(shared: &Shared, v: &Value, out: &mut String) -> Result<(), SolverError> {
+    let (hs, us) = (batch_coords(v, "altitude")?, batch_coords(v, "velocity")?);
+    if hs.len() != us.len() {
+        return Err(SolverError::BadInput(format!(
+            "query_batch length mismatch: {} altitudes vs {} velocities",
+            hs.len(),
+            us.len()
+        )));
+    }
+    let table = shared.ensure_table()?;
+    let exact: Vec<bool> = hs
+        .iter()
+        .zip(&us)
+        .map(|(&h, &u)| !table.contains(h, u))
+        .collect();
+    let inside = |xs: &[f64]| -> Vec<f64> {
+        xs.iter()
+            .zip(&exact)
+            .filter(|(_, &e)| !e)
+            .map(|(&x, _)| x)
+            .collect()
+    };
+    let (in_h, in_u) = (inside(&hs), inside(&us));
+    let mut surrogate = vec![SurrogateQuery::default(); in_h.len()];
+    table.query_batch(&in_h, &in_u, &mut surrogate);
+    let mut surrogate = surrogate.iter();
+
+    let fallbacks = hs.len() - in_h.len();
+    let _ = write!(
+        out,
+        "{{\"ok\": true, \"n\": {}, \"exact_fallbacks\": {fallbacks}, \"results\": [",
+        hs.len()
+    );
+    let mut exact_path = shared.exact_response();
+    for (k, ((&h, &u), &e)) in hs.iter().zip(&us).zip(&exact).enumerate() {
+        let q = if e {
+            counters::add(Counter::SurrogateExactFallbacks, 1);
+            exact_path.evaluate(h, u)?
+        } else {
+            *surrogate
+                .next()
+                .expect("one surrogate answer per in-corridor point")
+        };
+        if k > 0 {
+            out.push_str(", ");
+        }
+        push_query_item(out, h, u, &q, e);
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 /// Spawn a detached sweep thread for `job`.
@@ -335,13 +465,14 @@ fn spawn_run(job: Arc<Job>, workers: usize, halt_after: Option<usize>) {
         .expect("spawning job thread");
 }
 
-fn handle(shared: &Arc<Shared>, line: &str) -> Result<String, SolverError> {
+/// Parse one request line and write its response into `out`.
+fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), SolverError> {
     let v = json::parse(line).map_err(|e| SolverError::BadInput(format!("request JSON: {e}")))?;
     let op = v
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| SolverError::BadInput("request missing string 'op'".into()))?;
-    match op {
+    let resp = match op {
         "ping" => Ok(format!(
             "{{\"ok\": true, \"pong\": true, \"pid\": {}, \"jobs\": {}}}",
             std::process::id(),
@@ -451,50 +582,8 @@ fn handle(shared: &Arc<Shared>, line: &str) -> Result<String, SolverError> {
             spawn_run(job, workers, halt_after);
             Ok(resp)
         }
-        "query" => {
-            let (h, u) = (req_f64(&v, "altitude")?, req_f64(&v, "velocity")?);
-            let (q, exact) = shared.answer(h, u)?;
-            Ok(format!(
-                "{{\"ok\": true, \"result\": {}}}",
-                query_item(h, u, &q, exact),
-            ))
-        }
-        "query_batch" => {
-            let nums = |key: &str| -> Result<Vec<f64>, SolverError> {
-                v.get(key)
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| {
-                        SolverError::BadInput(format!("query_batch missing array '{key}'"))
-                    })?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().ok_or_else(|| {
-                            SolverError::BadInput(format!("'{key}' entries must be numbers"))
-                        })
-                    })
-                    .collect()
-            };
-            let (hs, us) = (nums("altitude")?, nums("velocity")?);
-            if hs.len() != us.len() {
-                return Err(SolverError::BadInput(format!(
-                    "query_batch length mismatch: {} altitudes vs {} velocities",
-                    hs.len(),
-                    us.len()
-                )));
-            }
-            let mut items = Vec::with_capacity(hs.len());
-            let mut fallbacks = 0usize;
-            for (&h, &u) in hs.iter().zip(&us) {
-                let (q, exact) = shared.answer(h, u)?;
-                fallbacks += usize::from(exact);
-                items.push(query_item(h, u, &q, exact));
-            }
-            Ok(format!(
-                "{{\"ok\": true, \"n\": {}, \"exact_fallbacks\": {fallbacks}, \"results\": [{}]}}",
-                items.len(),
-                items.join(", "),
-            ))
-        }
+        "query" => return query(shared, &v, out),
+        "query_batch" => return query_batch(shared, &v, out),
         "metrics" => {
             let format = v
                 .get("format")
@@ -525,5 +614,7 @@ fn handle(shared: &Arc<Shared>, line: &str) -> Result<String, SolverError> {
             Ok("{\"ok\": true, \"stopping\": true}".into())
         }
         other => Err(SolverError::BadInput(format!("unknown op '{other}'"))),
-    }
+    }?;
+    out.push_str(&resp);
+    Ok(())
 }
