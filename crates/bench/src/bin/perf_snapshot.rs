@@ -3,8 +3,9 @@
 //! Runs a fixed suite of the kernels the figure binaries spend their time
 //! in — tridiagonal and block-tridiagonal sweeps, damped-Newton solves,
 //! stiff chemistry integration, direct equilibrium-composition solves,
-//! spectrum integration, Euler blunt-body steps, and the distributed-sweep
-//! bookkeeping (plan partitioning, shard-store federation) — under the
+//! spectrum integration, Euler blunt-body steps, the daemon's float text
+//! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
+//! partitioning, shard-store federation) — under the
 //! span profiler, and writes the merged span statistics plus kernel
 //! counter totals as `BENCH_<label>.json`.
 //!
@@ -397,6 +398,22 @@ fn run_suite() {
             acc += out[BATCH - 1].q_conv;
         }
         assert!(acc.is_finite() && acc > 0.0);
+
+        // The daemon's float text for one 1024-item `query_batch`
+        // response: six `push_f64` writes per answered point (altitude,
+        // velocity, p_stag, t_stag, q_conv, q_rad), 6 144 per occurrence.
+        let mut text = String::with_capacity(1 << 17);
+        for _ in 0..200 {
+            text.clear();
+            let _sp = trace::span("json_push_f64");
+            for ((&h, &v), q) in hs.iter().zip(&vs).zip(&out).take(1024) {
+                for x in [h, v, q.p_stag, q.t_stag, q.q_conv, q.q_rad] {
+                    json::push_f64(&mut text, x);
+                    text.push(',');
+                }
+            }
+        }
+        assert!(text.len() > 6 * 1024);
 
         let entry = EntryConditions {
             altitude: 90_000.0,

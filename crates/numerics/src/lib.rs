@@ -16,6 +16,8 @@
 //! * [`simd`] — four-wide `f64` lanes for the vectorized flux/limiter
 //!   kernels (SSE2 behind the `simd` feature, hand-unrolled scalar
 //!   fallback otherwise, bitwise-identical semantics either way),
+//! * [`shortest`] — shortest round-trip decimal digits of an `f64` (Ryū),
+//!   the digit kernel behind [`json::push_f64`],
 //! * [`constants`] — physical constants in SI units,
 //! * [`telemetry`] — solver observability: kernel counters, phase timers,
 //!   residual monitors with divergence detection, physics-audit findings,
@@ -50,6 +52,7 @@ pub mod newton;
 pub mod ode;
 pub mod quadrature;
 pub mod roots;
+pub mod shortest;
 pub mod simd;
 pub mod telemetry;
 pub mod trace;

@@ -34,7 +34,8 @@
 //! `submit_shard`, `federate`, `status`, `results`, `cancel`, `resume`,
 //! `query`, `query_batch`, `metrics`, `shutdown`. See `README.md`
 //! § Service for the full schemas. Request lines are capped at
-//! [`MAX_LINE_BYTES`] and batches at [`MAX_BATCH_POINTS`].
+//! [`MAX_LINE_BYTES`], batches at [`MAX_BATCH_POINTS`], and the sweep
+//! workers one request may ask for at [`MAX_WORKERS`].
 //!
 //! # Determinism
 //!
@@ -56,7 +57,7 @@ pub mod server;
 pub use client::Client;
 pub use coordinator::{run_coordinated_sweep, CoordinatedSweep, CoordinatorConfig};
 pub use jobs::{JobPhase, JobRegistry};
-pub use server::{Daemon, MAX_BATCH_POINTS, MAX_LINE_BYTES};
+pub use server::{Daemon, MAX_BATCH_POINTS, MAX_LINE_BYTES, MAX_WORKERS};
 
 /// Daemon configuration: socket, data directory, pool sizes, and the
 /// resident surrogate corridor.

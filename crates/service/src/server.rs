@@ -40,6 +40,11 @@ pub const MAX_LINE_BYTES: usize = 16 << 20;
 /// Most points one `query_batch` request may carry.
 pub const MAX_BATCH_POINTS: usize = 65_536;
 
+/// Most sweep workers one `submit`, `submit_shard` or `resume` request
+/// may ask for. Whatever the request, the pool starts no more threads
+/// than the job has cases; this cap bounds what one request can claim.
+pub const MAX_WORKERS: usize = 1024;
+
 /// Recover from poisoning instead of cascading (a panicking handler is
 /// already contained by `catch_unwind`; its locks must stay usable).
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -347,6 +352,17 @@ fn opt_usize(v: &Value, key: &str) -> Result<Option<usize>, SolverError> {
     }
 }
 
+/// The request's `workers` (the daemon default when absent), at least 1
+/// and at most [`MAX_WORKERS`].
+fn req_workers(shared: &Shared, v: &Value) -> Result<usize, SolverError> {
+    match opt_usize(v, "workers")? {
+        Some(n) if n > MAX_WORKERS => Err(SolverError::BadInput(format!(
+            "'workers' is {n}; the limit is {MAX_WORKERS}"
+        ))),
+        requested => Ok(requested.unwrap_or(shared.cfg.workers).max(1)),
+    }
+}
+
 fn status_json(job: &Job) -> String {
     format!(
         "{{\"ok\": true, \"job\": {}, \"plan\": {}, \"phase\": {}, \"done\": {}, \
@@ -483,9 +499,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
                 .get("plan")
                 .ok_or_else(|| SolverError::BadInput("submit missing object 'plan'".into()))?;
             let plan = SweepPlan::from_json(plan_v)?;
-            let workers = opt_usize(&v, "workers")?
-                .unwrap_or(shared.cfg.workers)
-                .max(1);
+            let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
             let job = shared.jobs.submit(&plan)?;
             let (id, total) = (job.id.clone(), job.total);
@@ -508,9 +522,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
                 None => ShardStrategy::default(),
             };
             let spec = ShardSpec::parse(shard_s, strategy)?;
-            let workers = opt_usize(&v, "workers")?
-                .unwrap_or(shared.cfg.workers)
-                .max(1);
+            let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
             let job = shared.jobs.submit_shard(&plan, spec)?;
             let (id, total) = (job.id.clone(), job.total);
@@ -573,9 +585,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
                 .get("job")
                 .and_then(Value::as_str)
                 .ok_or_else(|| SolverError::BadInput("request missing string 'job'".into()))?;
-            let workers = opt_usize(&v, "workers")?
-                .unwrap_or(shared.cfg.workers)
-                .max(1);
+            let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
             let job = shared.jobs.resume(id)?;
             let resp = status_json(&job);

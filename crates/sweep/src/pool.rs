@@ -420,6 +420,9 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
     let stop = AtomicBool::new(false);
     let workers = opts.workers.max(1);
     let total = relock(&queue).len();
+    // The report and the events keep the requested count, but no more
+    // threads start than there are cases to pull.
+    let threads = workers.min(total);
     let busy = AtomicUsize::new(0);
     let hb_stop = AtomicBool::new(false);
     set_gauge(Gauge::SweepCasesTotal, total as f64);
@@ -461,7 +464,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
                 pulse(0);
             })
         });
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let queue = &queue;
                 let writer = &writer;
@@ -651,6 +654,23 @@ mod tests {
             let ids: Vec<&str> = report.outcomes.iter().map(|o| o.id.as_str()).collect();
             assert_eq!(ids, ["s00", "s01", "s02", "s03", "s04", "s05"]);
         }
+    }
+
+    #[test]
+    fn worker_threads_are_capped_at_the_queued_cases() {
+        // One thread per requested worker would not even fit the handle
+        // vector here.
+        let report = run_sweep(
+            &synthetic_plan(3, "ok"),
+            &SweepOptions {
+                workers: usize::MAX,
+                ..SweepOptions::default()
+            },
+        )
+        .expect("sweep");
+        assert_eq!(report.workers, usize::MAX, "the report keeps the request");
+        assert!(report.all_green());
+        assert!(report.outcomes.iter().all(|o| o.worker < 3), "{report:?}");
     }
 
     #[test]

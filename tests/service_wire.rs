@@ -1,16 +1,23 @@
 //! Wire-level tests of the `aerothermod` line protocol against an
 //! in-process [`Daemon`]: framing under arbitrary write splits, CRLF and
-//! blank lines, pipelining, the request-size and batch-length caps,
-//! non-finite coordinates, and a large mixed batch that must answer
-//! bitwise like single queries with the counters moving as documented.
+//! blank lines, pipelining, the request-size, batch-length, nesting and
+//! worker-count caps, non-finite coordinates, random lines, and a large
+//! mixed batch that must answer bitwise like single queries with the
+//! counters moving as documented.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use aerothermo_numerics::json::{self, Value};
-use aerothermo_service::{Client, Daemon, ServiceConfig, MAX_BATCH_POINTS, MAX_LINE_BYTES};
+use aerothermo_numerics::json::{self, Value, MAX_DEPTH};
+use aerothermo_service::{
+    Client, Daemon, ServiceConfig, MAX_BATCH_POINTS, MAX_LINE_BYTES, MAX_WORKERS,
+};
+use aerothermo_sweep::spec::{FlowSpec, GasSpec, LevelSpec};
+use aerothermo_sweep::{CaseSpec, SweepPlan};
+use proptest::prelude::*;
 
 /// The telemetry counters are process-wide, so the tests take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -305,4 +312,177 @@ fn non_finite_coordinates_are_rejected_before_dispatch() {
         assert_eq!(counter(&after, name), counter(&before, name), "{name}");
     }
     c.ping().expect("connection still serving");
+}
+
+fn assert_error_line(line: &str, want: &str) {
+    let v = json::parse(line).unwrap();
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{line}");
+    let msg = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(msg.contains(want), "{msg}");
+}
+
+#[test]
+fn deeply_nested_line_is_one_error_not_a_crash() {
+    let fx = Fixture::start("nesting");
+    let mut s = fx.raw();
+    // Far under the line cap, far over the nesting cap: parsed
+    // recursively without a limit it would overflow the accept thread's
+    // stack and abort the process.
+    s.write_all(format!("{}\n{{\"op\": \"ping\"}}\n", "[".repeat(100_000)).as_bytes())
+        .unwrap();
+    let got = read_lines(&mut s, 2);
+    assert_error_line(&got[0], "nesting");
+    assert_eq!(
+        json::parse(&got[1]).unwrap().get("pong"),
+        Some(&Value::Bool(true))
+    );
+    let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    s.write_all(format!("{at_cap}\n").as_bytes()).unwrap();
+    assert_error_line(&read_lines(&mut s, 1)[0], "request missing string 'op'");
+    fx.client().ping().expect("daemon still serving");
+}
+
+fn one_case_plan() -> SweepPlan {
+    let mut plan = SweepPlan::new("workers_cap");
+    plan.push(CaseSpec::new(
+        "only",
+        GasSpec::IdealAir,
+        LevelSpec::Synthetic {
+            work_ms: 1.0,
+            outcome: "ok".to_string(),
+        },
+        FlowSpec::new(1e-4, 7000.0, 200.0, 10.0, 0.5, 1500.0),
+    ));
+    plan
+}
+
+#[test]
+fn worker_requests_above_the_cap_are_bad_input() {
+    let fx = Fixture::start("workers");
+    let mut c = fx.client();
+    let limit = MAX_WORKERS.to_string();
+    let err = c
+        .submit(&one_case_plan(), Some(MAX_WORKERS + 1), None)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("'workers'") && err.contains(&limit), "{err}");
+    for req in [
+        r#"{"op": "resume", "job": "job-0001", "workers": 1e9}"#,
+        r#"{"op": "submit_shard", "shard": "1/2", "workers": 1e300, "plan": PLAN}"#,
+    ] {
+        let plan = one_case_plan().to_json().replace('\n', " ");
+        let err = c.call(&req.replace("PLAN", &plan)).unwrap_err().to_string();
+        assert!(err.contains(&limit), "{req}: {err}");
+    }
+    // At the cap the job runs, on one thread for its one case.
+    let job = c
+        .submit(&one_case_plan(), Some(MAX_WORKERS), None)
+        .expect("a request at the cap is accepted");
+    let status = c.wait(&job, Duration::from_secs(60)).expect("job finishes");
+    assert_eq!(status.get("done").and_then(Value::as_f64), Some(1.0));
+}
+
+/// SplitMix64, for reproducible random lines.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Request-shaped fragments; random lines glue them together.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    " ",
+    "\"op\"",
+    "\"query\"",
+    "\"query_batch\"",
+    "\"ping\"",
+    "\"status\"",
+    "\"results\"",
+    "\"cancel\"",
+    "\"metrics\"",
+    "\"job\"",
+    "\"job-0001\"",
+    "\"altitude\"",
+    "\"velocity\"",
+    "\"format\"",
+    "60000",
+    "8000",
+    "-1",
+    "1e400",
+    "NaN",
+    "null",
+    "true",
+    "\"",
+    "\\",
+    "\\u",
+    "\u{1}",
+    "é",
+    "[[[[[[[[",
+    "{\"op\": ",
+];
+
+/// One random non-blank line without a newline: a fragment soup, raw
+/// bytes, or a well-formed request with one random value.
+fn random_line(rng: &mut SplitMix) -> Vec<u8> {
+    let mut line = match rng.next() % 3 {
+        0 => (0..rng.next() % 40)
+            .map(|_| FRAGMENTS[(rng.next() % FRAGMENTS.len() as u64) as usize])
+            .collect::<String>()
+            .into_bytes(),
+        1 => (0..rng.next() % 80)
+            .map(|_| (rng.next() % 256) as u8)
+            .filter(|&b| b != b'\n')
+            .collect(),
+        _ => {
+            let value = FRAGMENTS[(rng.next() % FRAGMENTS.len() as u64) as usize];
+            format!(r#"{{"op": "query", "altitude": {value}, "velocity": 8000}}"#).into_bytes()
+        }
+    };
+    // Blank lines get no response by design.
+    if String::from_utf8_lossy(&line).trim().is_empty() {
+        line = b"x".to_vec();
+    }
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn random_lines_each_get_one_response_and_the_daemon_survives(seed in 0u64..u64::MAX) {
+        let fx = Fixture::start("fuzz");
+        let mut rng = SplitMix(seed);
+        let mut s = fx.raw();
+        let lines: Vec<Vec<u8>> = (0..48).map(|_| random_line(&mut rng)).collect();
+        for line in &lines {
+            s.write_all(line).unwrap();
+            s.write_all(b"\n").unwrap();
+        }
+        let got = read_lines(&mut s, lines.len());
+        prop_assert_eq!(got.len(), lines.len());
+        for (line, resp) in lines.iter().zip(&got) {
+            let v = json::parse(resp);
+            prop_assert!(
+                v.as_ref().is_ok_and(|v| v.get("ok").is_some()),
+                "{:?} -> {resp}",
+                String::from_utf8_lossy(line)
+            );
+        }
+        s.write_all(b"{\"op\": \"ping\"}\n").unwrap();
+        let pong = read_lines(&mut s, 1);
+        prop_assert!(pong[0].contains("\"pong\": true"), "{}", pong[0]);
+        fx.client().ping().expect("daemon still serving");
+    }
 }
