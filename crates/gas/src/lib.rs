@@ -15,6 +15,8 @@
 //! * [`kinetics`] — Park finite-rate reaction set with two-temperature
 //!   coupling and backward rates from equilibrium constants,
 //! * [`relaxation`] — Millikan-White/Park vibrational relaxation times,
+//! * [`source`] — the two-temperature source terms (ẇ and the vibronic
+//!   energy source) of a relaxation march in one pass,
 //! * [`transport`] — viscosity/conductivity/diffusion (Blottner + kinetic
 //!   theory, Wilke mixing).
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@ pub mod error;
 pub mod kinetics;
 pub mod model;
 pub mod relaxation;
+pub mod source;
 pub mod species;
 pub mod thermo;
 pub mod transport;

@@ -24,11 +24,11 @@
 //! temperature-independent `c_v,tr`, so no per-cell Newton is needed on the
 //! convective side.
 
-use aerothermo_gas::kinetics::{RateTemperature, ReactionSet};
+use aerothermo_gas::kinetics::ReactionSet;
 use aerothermo_gas::relaxation::RelaxationModel;
+use aerothermo_gas::source::{two_temperature_source, SourceState};
 use aerothermo_gas::thermo::Mixture;
 use aerothermo_grid::{Geometry, Metrics, StructuredGrid};
-use aerothermo_numerics::constants::K_BOLTZMANN;
 use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
 use aerothermo_numerics::telemetry::{
     counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
@@ -822,34 +822,16 @@ impl<'a> ReactingSolver<'a> {
                 .clamp(50.0, 120_000.0);
             tv_cache.set(tv);
 
-            let mut wdot = vec![0.0; ns];
-            self.reactions.mass_production(t, tv, rho, &y, &mut wdot);
             let p = rho * self.mix.gas_constant(&y) * t;
-            let n_total = p / (K_BOLTZMANN * t);
-            let q_tv = self.relaxation.q_trans_vib(rho, &y, t, tv, p, n_total);
-            let mut q_chem = 0.0;
-            for (s, sp) in self.mix.species().iter().enumerate() {
-                let evs = if sp.name == "e-" {
-                    sp.e_trans(tv)
-                } else {
-                    sp.e_vib(tv) + sp.e_elec(tv)
-                };
-                q_chem += wdot[s] * evs;
-            }
-            // Electron-impact formation energy drains the vibronic pool.
-            let conc: Vec<f64> = (0..ns)
-                .map(|s| rho * y[s].max(0.0) / self.mix.species()[s].molar_mass)
-                .collect();
-            let mut rates = vec![0.0; self.reactions.reactions().len()];
-            self.reactions.net_reaction_rates(t, tv, &conc, &mut rates);
-            let mut q_eii = 0.0;
-            for (r, rate) in self.reactions.reactions().iter().zip(&rates) {
-                if r.rate_t == RateTemperature::ElectronTv {
-                    q_eii -= rate * self.reactions.reaction_energy(r);
-                }
-            }
-            dz[..ns].copy_from_slice(&wdot);
-            dz[ns] = q_tv + q_chem + q_eii;
+            let state = SourceState {
+                t,
+                tv,
+                rho,
+                p,
+                y: &y,
+            };
+            dz[ns] =
+                two_temperature_source(self.reactions, self.relaxation, state, &mut dz[..ns], None);
         };
 
         let ok = stiff_integrate(
