@@ -2,7 +2,8 @@
 //!
 //! Runs a fixed suite of the kernels the figure binaries spend their time
 //! in — tridiagonal and block-tridiagonal sweeps, damped-Newton solves,
-//! stiff chemistry integration, direct equilibrium-composition solves,
+//! stiff chemistry integration, the Fig. 7 relaxation march
+//! (`relaxation_march`), direct equilibrium-composition solves,
 //! spectrum integration, Euler blunt-body steps, the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
 //! partitioning, shard-store federation) — under the
@@ -34,6 +35,8 @@ use aerothermo_core::surrogate::{
 };
 use aerothermo_gas::eq_table::air9_table;
 use aerothermo_gas::equilibrium::air9_equilibrium;
+use aerothermo_gas::kinetics::park_air9;
+use aerothermo_gas::relaxation::RelaxationModel;
 use aerothermo_grid::bodies::Hemisphere;
 use aerothermo_grid::{stretch, StructuredGrid};
 use aerothermo_numerics::metrics;
@@ -46,6 +49,7 @@ use aerothermo_radiation::spectra::spectrum;
 use aerothermo_radiation::GasSample;
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
+use aerothermo_solvers::shock1d::{solve as relax_solve, RelaxationProblem};
 use aerothermo_sweep::shard::{federate, partition};
 use aerothermo_sweep::spec::{FlowSpec, GasSpec, LevelSpec};
 use aerothermo_sweep::store::{CaseOutcome, CaseStatus, JsonlWriter};
@@ -267,6 +271,31 @@ fn run_suite() {
         for _ in 0..50 {
             let mut y = [1.0, 0.5, 0.2];
             stiff_integrate(&sys, 0.0, 0.1, &mut y, &opts, |_, _| {}).expect("stiff");
+        }
+    }
+
+    // The Fig. 7 relaxation march (10 km/s into 0.1 torr air) over its
+    // first 0.1 mm: the real 10-unknown stiff system, closure and
+    // two-temperature sources included (`relaxation_march`).
+    {
+        let gas = air9_equilibrium();
+        let set = park_air9(gas.mixture());
+        let relax = RelaxationModel::new(gas.mixture().clone());
+        let (u1, t1, p1) = aerothermo_bench::shock_tube_fig7_condition();
+        let mut y1 = vec![0.0; gas.mixture().len()];
+        y1[0] = 0.767;
+        y1[1] = 0.233;
+        let problem = RelaxationProblem {
+            u1,
+            t1,
+            p1,
+            y1,
+            x_end: 1e-4,
+        };
+        for _ in 0..5 {
+            let _sp = trace::span("relaxation_march");
+            let sol = relax_solve(&set, &relax, &problem).expect("relaxation march");
+            assert!(sol.points.len() > 10);
         }
     }
 

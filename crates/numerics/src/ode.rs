@@ -7,14 +7,15 @@
 //! only first order, but its L-stability is exactly what a relaxing
 //! post-shock state needs, and the step controller keeps the accuracy.
 
-use crate::linalg::solve_dense;
+use crate::linalg::{lu_factor, lu_solve, solve_dense};
 use crate::telemetry::{counters, Counter};
 
-/// Local accept/reject tally flushed to the global counters on drop, so
-/// error returns are counted too and the hot loop pays no atomics.
+/// Local accept/reject/Jacobian tally flushed to the global counters on
+/// drop, so error returns are counted too and the hot loop pays no atomics.
 struct StepTally {
     accepted: u64,
     rejected: u64,
+    jacobians: u64,
 }
 
 impl StepTally {
@@ -22,17 +23,21 @@ impl StepTally {
         Self {
             accepted: 0,
             rejected: 0,
+            jacobians: 0,
         }
     }
 }
 
 impl Drop for StepTally {
     fn drop(&mut self) {
-        if self.accepted > 0 {
-            counters::add(Counter::OdeStepsAccepted, self.accepted);
-        }
-        if self.rejected > 0 {
-            counters::add(Counter::OdeStepsRejected, self.rejected);
+        for (counter, n) in [
+            (Counter::OdeStepsAccepted, self.accepted),
+            (Counter::OdeStepsRejected, self.rejected),
+            (Counter::OdeJacobians, self.jacobians),
+        ] {
+            if n > 0 {
+                counters::add(counter, n);
+            }
         }
     }
 }
@@ -263,14 +268,29 @@ pub fn rkf45_integrate(
     Ok(())
 }
 
-/// Stiff integrator: adaptive backward Euler with a damped Newton inner solve
+/// Stiff integrator: adaptive backward Euler with a Newton inner solve
 /// and step-doubling error control.
 ///
-/// Solves `y_{n+1} = y_n + h f(x_{n+1}, y_{n+1})` via Newton with a
-/// finite-difference Jacobian, re-assembled every step (the systems here are
-/// small — ≲ 15 unknowns — so Jacobian reuse isn't worth the complexity).
-/// Error is estimated by comparing one full step against two half steps and
-/// the step adapted to `rtol`/`atol` (first-order Richardson).
+/// Each attempted step solves `y_{n+1} = y_n + h f(x_{n+1}, y_{n+1})` three
+/// times: once with step `h` and twice with `h/2`. The error is estimated by
+/// comparing the full step against the two half steps, the step adapted to
+/// `rtol`/`atol`, and the accepted state Richardson-extrapolated
+/// (first order).
+///
+/// All three Newton solves share one forward-difference Jacobian `∂f/∂y`,
+/// assembled at `(x_n + h, y_n)` (its base evaluation doubles as the full
+/// step's first residual) and LU-factored once as `I − h·∂f/∂y` and once as
+/// `I − (h/2)·∂f/∂y`; each Newton iterate then costs one right-hand side
+/// and one pair of triangular solves. For the chemistry systems here
+/// (≲ 15 unknowns) the `n + 1` evaluations of a Jacobian dominate a step,
+/// so sharing it cuts the evaluations per step about threefold. The
+/// iterates converge to the same `1e-11` residual as with a fresh Jacobian;
+/// a residual stuck on its rounding floor (the correction no longer changes
+/// `y`) is accepted below `1e-6`, as the fresh-Jacobian solve accepts it.
+/// A solve whose shared-Jacobian iterates stop contracting, or do not
+/// converge within 12 iterations, is redone from the same
+/// start with a fresh Jacobian at every iterate; the `ode_jacobians`
+/// counter's excess over the attempted steps shows how often that happens.
 ///
 /// # Errors
 /// See [`OdeError`].
@@ -289,6 +309,7 @@ pub fn stiff_integrate(
     let n = y.len();
     let mut yfull = vec![0.0; n];
     let mut yhalf = vec![0.0; n];
+    let mut newton = SharedJacobianNewton::new(n);
 
     observer(x, y);
     let mut steps = 0;
@@ -302,15 +323,23 @@ pub fn stiff_integrate(
             h = x1 - x;
         }
 
-        // One full step.
+        newton.assemble(sys, x + h, y, h);
+        tally.jacobians += 1;
+        // One full step, then two half steps.
         yfull.copy_from_slice(y);
-        let ok_full = be_step(sys, x, &mut yfull, h);
-        // Two half steps.
-        yhalf.copy_from_slice(y);
-        let ok_half =
-            be_step(sys, x, &mut yhalf, 0.5 * h) && be_step(sys, x + 0.5 * h, &mut yhalf, 0.5 * h);
+        let ok = newton.step(sys, x, &mut yfull, Step::Full, &mut tally.jacobians) && {
+            yhalf.copy_from_slice(y);
+            newton.step(sys, x, &mut yhalf, Step::Half, &mut tally.jacobians)
+                && newton.step(
+                    sys,
+                    x + 0.5 * h,
+                    &mut yhalf,
+                    Step::Half,
+                    &mut tally.jacobians,
+                )
+        };
 
-        if !(ok_full && ok_half) {
+        if !ok {
             tally.rejected += 1;
             h *= 0.25;
             if h.abs() < opts.hmin {
@@ -356,8 +385,187 @@ pub fn stiff_integrate(
     Ok(())
 }
 
-/// Single backward-Euler step with Newton; returns false on Newton failure.
-fn be_step(sys: &impl OdeSystem, x: f64, y: &mut [f64], h: f64) -> bool {
+/// Iteration budget of one shared-Jacobian Newton solve before it is redone
+/// with fresh Jacobians.
+const SHARED_JACOBIAN_ITERATIONS: usize = 12;
+
+/// Which of an attempted step's solves: the full step `h` or a half step.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Full,
+    Half,
+}
+
+/// The shared Jacobian of one attempted step, its two factorizations and
+/// the Newton work buffers, allocated once per integration.
+struct SharedJacobianNewton {
+    n: usize,
+    /// `h` of the current attempted step.
+    h: f64,
+    /// `f(x_n + h, y_n)`: the Jacobian's base point and the full step's
+    /// first residual.
+    f_base: Vec<f64>,
+    f: Vec<f64>,
+    y0: Vec<f64>,
+    ypert: Vec<f64>,
+    /// Residual, then Newton correction.
+    res: Vec<f64>,
+    /// `∂f/∂y`, row-major.
+    dfdy: Vec<f64>,
+    /// `I − h·∂f/∂y`, factored.
+    full: IterationMatrix,
+    /// `I − (h/2)·∂f/∂y`, factored.
+    half: IterationMatrix,
+}
+
+/// LU factors of one Newton iteration matrix `I − h·∂f/∂y`.
+struct IterationMatrix {
+    lu: Vec<f64>,
+    piv: Vec<usize>,
+    singular: bool,
+}
+
+impl IterationMatrix {
+    fn new(n: usize) -> Self {
+        Self {
+            lu: vec![0.0; n * n],
+            piv: vec![0; n],
+            singular: true,
+        }
+    }
+
+    fn factor(&mut self, dfdy: &[f64], h: f64) {
+        let n = self.piv.len();
+        for (m, d) in self.lu.iter_mut().zip(dfdy) {
+            *m = -h * d;
+        }
+        for k in 0..n {
+            self.lu[k * n + k] += 1.0;
+        }
+        self.singular = lu_factor(&mut self.lu, n, &mut self.piv).is_err();
+    }
+
+    /// Overwrite `b` with the solution of the factored system; false when
+    /// the matrix is singular.
+    fn solve(&self, b: &mut [f64]) -> bool {
+        !self.singular && lu_solve(&self.lu, self.piv.len(), &self.piv, b).is_ok()
+    }
+}
+
+impl SharedJacobianNewton {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            h: 0.0,
+            f_base: vec![0.0; n],
+            f: vec![0.0; n],
+            y0: vec![0.0; n],
+            ypert: vec![0.0; n],
+            res: vec![0.0; n],
+            dfdy: vec![0.0; n * n],
+            full: IterationMatrix::new(n),
+            half: IterationMatrix::new(n),
+        }
+    }
+
+    /// Assemble `∂f/∂y` at `(x, y)` by forward differences and factor the
+    /// iteration matrices of step `h` and `h/2`.
+    fn assemble(&mut self, sys: &impl OdeSystem, x: f64, y: &[f64], h: f64) {
+        let n = self.n;
+        self.h = h;
+        sys.rhs(x, y, &mut self.f_base);
+        for j in 0..n {
+            self.ypert.copy_from_slice(y);
+            let dy = 1e-7 * y[j].abs().max(1e-10);
+            self.ypert[j] += dy;
+            sys.rhs(x, &self.ypert, &mut self.f);
+            for i in 0..n {
+                self.dfdy[i * n + j] = (self.f[i] - self.f_base[i]) / dy;
+            }
+        }
+        self.full.factor(&self.dfdy, h);
+        self.half.factor(&self.dfdy, 0.5 * h);
+    }
+
+    /// One backward-Euler solve from `(x, y)` with the shared Jacobian,
+    /// redone with fresh Jacobians (counted into `jacobians`) if that fails;
+    /// returns false when both fail.
+    fn step(
+        &mut self,
+        sys: &impl OdeSystem,
+        x: f64,
+        y: &mut [f64],
+        step: Step,
+        jacobians: &mut u64,
+    ) -> bool {
+        let h = match step {
+            Step::Full => self.h,
+            Step::Half => 0.5 * self.h,
+        };
+        self.y0.copy_from_slice(y);
+        if self.solve_shared(sys, x, y, h, step) {
+            return true;
+        }
+        y.copy_from_slice(&self.y0);
+        be_step(sys, x, y, h, jacobians)
+    }
+
+    fn solve_shared(
+        &mut self,
+        sys: &impl OdeSystem,
+        x: f64,
+        y: &mut [f64],
+        h: f64,
+        step: Step,
+    ) -> bool {
+        let matrix = match step {
+            Step::Full => &self.full,
+            Step::Half => &self.half,
+        };
+        let n = self.n;
+        let xn = x + h;
+        let mut rnorm_prev = f64::INFINITY;
+        for it in 0..SHARED_JACOBIAN_ITERATIONS {
+            // The full step starts at y_n, where `f_base` already holds f.
+            let f = if it == 0 && step == Step::Full {
+                &self.f_base
+            } else {
+                sys.rhs(xn, y, &mut self.f);
+                &self.f
+            };
+            let rnorm = residual_norm(y, &self.y0, f, h, &mut self.res);
+            if rnorm < 1e-11 {
+                return true;
+            }
+            // Not finite, or no longer contracting: the shared Jacobian is
+            // too far from this solve's.
+            if rnorm.is_nan() || rnorm >= rnorm_prev {
+                return false;
+            }
+            rnorm_prev = rnorm;
+            if !matrix.solve(&mut self.res) {
+                return false;
+            }
+            let mut moved = false;
+            for i in 0..n {
+                let yi = y[i] - self.res[i];
+                moved |= yi != y[i];
+                y[i] = yi;
+            }
+            // A correction below the last bit of y: the residual sits on
+            // its rounding floor, which no Jacobian can lower. Accept it
+            // on the fresh-Jacobian solve's slightly-unconverged terms.
+            if !moved {
+                return rnorm < 1e-6;
+            }
+        }
+        false
+    }
+}
+
+/// Single backward-Euler step with a fresh Jacobian at every Newton iterate
+/// (each one counted into `jacobians`); returns false on Newton failure.
+fn be_step(sys: &impl OdeSystem, x: f64, y: &mut [f64], h: f64, jacobians: &mut u64) -> bool {
     let n = y.len();
     let xn = x + h;
     let y0: Vec<f64> = y.to_vec();
@@ -369,11 +577,7 @@ fn be_step(sys: &impl OdeSystem, x: f64, y: &mut [f64], h: f64) -> bool {
 
     for _newton in 0..25 {
         sys.rhs(xn, y, &mut f);
-        let mut rnorm = 0.0_f64;
-        for i in 0..n {
-            res[i] = y[i] - y0[i] - h * f[i];
-            rnorm = rnorm.max(res[i].abs() / (1.0 + y[i].abs()));
-        }
+        let rnorm = residual_norm(y, &y0, &f, h, &mut res);
         if !rnorm.is_finite() {
             return false;
         }
@@ -382,6 +586,7 @@ fn be_step(sys: &impl OdeSystem, x: f64, y: &mut [f64], h: f64) -> bool {
         }
 
         // J = I − h ∂f/∂y (forward differences).
+        *jacobians += 1;
         for j in 0..n {
             ypert.copy_from_slice(y);
             let dy = 1e-7 * y[j].abs().max(1e-10);
@@ -406,11 +611,22 @@ fn be_step(sys: &impl OdeSystem, x: f64, y: &mut [f64], h: f64) -> bool {
     }
     // Accept a slightly-unconverged Newton if the residual is small-ish.
     sys.rhs(xn, y, &mut f);
+    residual_norm(y, &y0, &f, h, &mut res) < 1e-6
+}
+
+/// Writes the backward-Euler residual `y − y0 − h f` into `res` and returns
+/// its scaled max-norm, or NaN if any component is not finite (`f64::max`
+/// alone would drop a NaN component and report convergence).
+fn residual_norm(y: &[f64], y0: &[f64], f: &[f64], h: f64, res: &mut [f64]) -> f64 {
     let mut rnorm = 0.0_f64;
-    for i in 0..n {
-        rnorm = rnorm.max((y[i] - y0[i] - h * f[i]).abs() / (1.0 + y[i].abs()));
+    for i in 0..y.len() {
+        res[i] = y[i] - y0[i] - h * f[i];
+        if !res[i].is_finite() {
+            return f64::NAN;
+        }
+        rnorm = rnorm.max(res[i].abs() / (1.0 + y[i].abs()));
     }
-    rnorm < 1e-6
+    rnorm
 }
 
 #[cfg(test)]
@@ -449,55 +665,118 @@ mod tests {
         assert!(y[1].abs() < 1e-7);
     }
 
-    #[test]
-    fn stiff_decay_fast_mode() {
+    /// Integrate with [`stiff_integrate`] and return the calling thread's
+    /// (accepted, rejected, Jacobians) counts.
+    fn counted_stiff(
+        sys: &impl OdeSystem,
+        x1: f64,
+        y: &mut [f64],
+        opts: &AdaptiveOptions,
+    ) -> (u64, u64, u64) {
+        let scope = crate::telemetry::TelemetryScope::begin();
+        stiff_integrate(sys, 0.0, x1, y, opts, |_, _| {}).unwrap();
+        let d = scope.thread_delta();
+        (
+            d.get(Counter::OdeStepsAccepted),
+            d.get(Counter::OdeStepsRejected),
+            d.get(Counter::OdeJacobians),
+        )
+    }
+
+    fn stiff_decay(x: f64, y: &[f64], d: &mut [f64]) {
         // Classic stiff test: y' = −1e6 (y − cos x) − sin x, exact y = cos x
         // after the fast transient dies.
-        let sys = |x: f64, y: &[f64], d: &mut [f64]| {
-            d[0] = -1e6 * (y[0] - x.cos()) - x.sin();
-        };
+        d[0] = -1e6 * (y[0] - x.cos()) - x.sin();
+    }
+
+    fn robertson(_x: f64, y: &[f64], d: &mut [f64]) {
+        d[0] = -0.04 * y[0] + 1e4 * y[1] * y[2];
+        d[1] = 0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] * y[1];
+        d[2] = 3e7 * y[1] * y[1];
+    }
+
+    const DECAY_OPTS: AdaptiveOptions = AdaptiveOptions {
+        rtol: 1e-6,
+        atol: 1e-9,
+        h0: 1e-8,
+        hmin: 1e-14,
+        hmax: f64::INFINITY,
+        max_steps: 1_000_000,
+    };
+
+    const ROBERTSON_OPTS: AdaptiveOptions = AdaptiveOptions {
+        rtol: 1e-6,
+        atol: 1e-12,
+        h0: 1e-6,
+        hmin: 1e-14,
+        hmax: f64::INFINITY,
+        max_steps: 1_000_000,
+    };
+
+    #[test]
+    fn stiff_decay_fast_mode() {
         let mut y = vec![2.0]; // off the slow manifold
-        stiff_integrate(
-            &sys,
-            0.0,
-            1.0,
-            &mut y,
-            &AdaptiveOptions {
-                rtol: 1e-6,
-                atol: 1e-9,
-                h0: 1e-8,
-                ..AdaptiveOptions::default()
-            },
-            |_, _| {},
-        )
-        .unwrap();
+        stiff_integrate(&stiff_decay, 0.0, 1.0, &mut y, &DECAY_OPTS, |_, _| {}).unwrap();
         assert!((y[0] - 1.0_f64.cos()).abs() < 1e-4);
+    }
+
+    #[test]
+    fn one_jacobian_per_attempted_step() {
+        // Neither problem needs the fresh-Jacobian fallback, so every
+        // attempted step assembles exactly one Jacobian for its three
+        // Newton solves.
+        let mut y = vec![2.0];
+        let (acc, rej, jac) = counted_stiff(&stiff_decay, 1.0, &mut y, &DECAY_OPTS);
+        assert!(acc > 10, "{acc} accepted steps");
+        assert_eq!(jac, acc + rej, "stiff decay: {acc} + {rej} attempts");
+
+        let mut y = vec![1.0, 0.0, 0.0];
+        let (acc, rej, jac) = counted_stiff(&robertson, 100.0, &mut y, &ROBERTSON_OPTS);
+        assert!(acc > 10, "{acc} accepted steps");
+        assert_eq!(jac, acc + rej, "Robertson: {acc} + {rej} attempts");
+    }
+
+    #[test]
+    fn fallback_to_fresh_jacobians_shows_in_the_counter() {
+        // y' = −y³ from y = 1 with one huge step: the solution of the
+        // full step sits far from y_n, where ∂f/∂y = −3 is a poor guide, so
+        // the shared-Jacobian iterates stall and fresh ones take over.
+        let sys = |_x: f64, y: &[f64], d: &mut [f64]| d[0] = -y[0] * y[0] * y[0];
+        let opts = AdaptiveOptions {
+            rtol: 1e-3,
+            h0: 1e3,
+            ..AdaptiveOptions::default()
+        };
+        let mut y = vec![1.0];
+        let (acc, rej, jac) = counted_stiff(&sys, 1e3, &mut y, &opts);
+        assert!(
+            jac > acc + rej,
+            "{jac} Jacobians for {acc} + {rej} attempts"
+        );
+        // y(x) = 1/√(1 + 2x).
+        assert!(
+            (y[0] - 1.0 / 2001.0_f64.sqrt()).abs() < 1e-3 * y[0],
+            "{y:?}"
+        );
+    }
+
+    #[test]
+    fn non_finite_derivative_is_a_newton_failure() {
+        // A right-hand side that cannot be evaluated writes NaN; the step
+        // must be rejected, not taken with the state frozen.
+        let sys = |_x: f64, _y: &[f64], d: &mut [f64]| d.fill(f64::NAN);
+        let mut y = vec![1.0, 2.0];
+        let err = stiff_integrate(&sys, 0.0, 1.0, &mut y, &DECAY_OPTS, |_, _| {}).unwrap_err();
+        assert_eq!(err, OdeError::NewtonFailure(0.0));
+        assert_eq!(y, [1.0, 2.0]);
     }
 
     #[test]
     fn stiff_robertson_mass_conserved() {
         // Robertson chemistry problem: notoriously stiff; the three
         // concentrations must keep summing to one.
-        let sys = |_x: f64, y: &[f64], d: &mut [f64]| {
-            d[0] = -0.04 * y[0] + 1e4 * y[1] * y[2];
-            d[1] = 0.04 * y[0] - 1e4 * y[1] * y[2] - 3e7 * y[1] * y[1];
-            d[2] = 3e7 * y[1] * y[1];
-        };
         let mut y = vec![1.0, 0.0, 0.0];
-        stiff_integrate(
-            &sys,
-            0.0,
-            100.0,
-            &mut y,
-            &AdaptiveOptions {
-                rtol: 1e-6,
-                atol: 1e-12,
-                h0: 1e-6,
-                ..AdaptiveOptions::default()
-            },
-            |_, _| {},
-        )
-        .unwrap();
+        stiff_integrate(&robertson, 0.0, 100.0, &mut y, &ROBERTSON_OPTS, |_, _| {}).unwrap();
         let sum: f64 = y.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "mass leak: {sum}");
         // Reference: at t = 100 the Robertson solution has y3 ≈ 0.38.

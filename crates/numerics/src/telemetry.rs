@@ -92,10 +92,15 @@ pub mod counters {
         /// `StagnationResponse` path because the point lay outside the
         /// resident table's corridor.
         SurrogateExactFallbacks,
+        /// Forward-difference Jacobians assembled by the stiff integrator:
+        /// one per attempted step, plus one per Newton iterate of a solve
+        /// that fell back from the shared Jacobian to fresh ones (so the
+        /// excess over the attempted steps shows how often that fired).
+        OdeJacobians,
     }
 
     /// Number of distinct counters.
-    pub const N_COUNTERS: usize = 25;
+    pub const N_COUNTERS: usize = 26;
 
     impl Counter {
         /// Every counter, in declaration order.
@@ -125,6 +130,7 @@ pub mod counters {
             Counter::SurrogateQueries,
             Counter::SurrogateBuilds,
             Counter::SurrogateExactFallbacks,
+            Counter::OdeJacobians,
         ];
 
         /// Stable snake_case name (used as the JSON report key).
@@ -156,6 +162,7 @@ pub mod counters {
                 Counter::SurrogateQueries => "surrogate_queries",
                 Counter::SurrogateBuilds => "surrogate_builds",
                 Counter::SurrogateExactFallbacks => "surrogate_exact_fallbacks",
+                Counter::OdeJacobians => "ode_jacobians",
             }
         }
     }
