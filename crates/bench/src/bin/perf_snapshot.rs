@@ -6,9 +6,11 @@
 //! (`relaxation_march`), direct equilibrium-composition solves,
 //! spectrum integration, Euler blunt-body steps, the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
-//! partitioning, shard-store federation) — under the
-//! span profiler, and writes the merged span statistics plus kernel
-//! counter totals as `BENCH_<label>.json`.
+//! partitioning, shard-store federation) — and writes every span label's
+//! exact statistics plus kernel counter totals as `BENCH_<label>.json`
+//! (`"schema": 2`: one `spans` entry per label with count, total, min, max,
+//! mean and p50/p90/p99). The `span_guard` span wraps 100 000 empty guards,
+//! so its duration over 100 000 is the cost of one span guard.
 //!
 //! ```text
 //! perf_snapshot --label=baseline            # writes BENCH_baseline.json
@@ -39,7 +41,6 @@ use aerothermo_gas::kinetics::park_air9;
 use aerothermo_gas::relaxation::RelaxationModel;
 use aerothermo_grid::bodies::Hemisphere;
 use aerothermo_grid::{stretch, StructuredGrid};
-use aerothermo_numerics::metrics;
 use aerothermo_numerics::newton::{newton_solve, NewtonOptions};
 use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
 use aerothermo_numerics::telemetry::CounterSnapshot;
@@ -75,28 +76,25 @@ fn main() {
 
     let label = arg_value("--label=").unwrap_or_else(|| "snapshot".to_string());
     let out = arg_value("--out=").unwrap_or_else(|| format!("BENCH_{label}.json"));
-    let counters0 = CounterSnapshot::take();
-    trace::enable();
-    trace::reset();
-    if aerothermo_bench::cli::no_metrics() {
-        metrics::disable();
-    }
-    metrics::reset_all();
+    trace::reset_all();
 
     run_suite();
 
     let stats = trace::stats();
-    let counters = CounterSnapshot::take().delta_since(&counters0);
+    let counters = CounterSnapshot::take();
+    let min_of = |label: &str| {
+        stats
+            .iter()
+            .find(|s| s.label == label)
+            .map_or(0, |s| s.hist.min_ns)
+    };
     // The calibration reference is the *fastest* loop occurrence: minima
     // are far more stable than means under scheduler noise, and the
     // comparator uses the same estimator for every span.
-    let calib = stats
-        .iter()
-        .find(|s| s.label == "calibration")
-        .map_or(0, |s| s.min_ns);
+    let calib = min_of("calibration");
 
     let mut s = String::with_capacity(4096);
-    s.push_str("{\n");
+    s.push_str("{\n  \"schema\": 2,\n");
     s.push_str(&format!("  \"label\": \"{label}\",\n"));
     s.push_str(&format!(
         "  \"unix_time_secs\": {},\n",
@@ -104,66 +102,19 @@ fn main() {
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs())
     ));
-    let features = aerothermo_numerics::simd::active_features()
-        .iter()
-        .map(|f| format!("\"{f}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
     s.push_str(&format!(
         "  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"num_cpus\": {}, \
-         \"rayon_threads\": {}, \"features\": [{features}]}},\n",
+         \"rayon_threads\": {}, \"simd\": \"{}\"}},\n",
         std::env::consts::OS,
         std::env::consts::ARCH,
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        rayon::current_num_threads()
+        rayon::current_num_threads(),
+        aerothermo_numerics::simd::BACKEND
     ));
     s.push_str(&format!("  \"calibration_ns\": {calib},\n"));
-    s.push_str("  \"spans\": {");
-    for (k, st) in stats.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \
-             \"max_ns\": {}, \"mean_ns\": {}}}",
-            st.label,
-            st.count,
-            st.total_ns,
-            st.min_ns,
-            st.max_ns,
-            st.mean_ns()
-        ));
-    }
-    s.push_str("\n  },\n");
-    // Sampled timing histograms from the metrics registry. Schema-additive:
-    // the ratchet comparator reads only calibration_ns/spans, so these
-    // quantiles inform without gating.
-    let msnap = metrics::snapshot();
-    s.push_str("  \"metrics_timings\": {");
-    let mut first = true;
-    for t in &msnap.timings {
-        if t.calls == 0 {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!(
-            "\n    \"{}\": {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {}, \
-             \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}}}",
-            t.timer.name(),
-            t.calls,
-            t.hist.count,
-            t.hist.quantile_ns(0.50),
-            t.hist.quantile_ns(0.90),
-            t.hist.quantile_ns(0.95),
-            t.hist.quantile_ns(0.99),
-            t.hist.mean_ns(),
-            t.hist.max_ns
-        ));
-    }
-    s.push_str("\n  },\n");
+    s.push_str("  \"spans\": ");
+    trace::write_timings(&mut s, &stats);
+    s.push_str(",\n");
     s.push_str("  \"counters\": {");
     for (k, (name, v)) in counters.iter().enumerate() {
         if k > 0 {
@@ -179,12 +130,18 @@ fn main() {
         println!(
             "  {:<24} count {:>8}  mean {:>10} ns  total {:>12} ns",
             st.label,
-            st.count,
-            st.mean_ns(),
-            st.total_ns
+            st.hist.count,
+            st.hist.mean_ns(),
+            st.hist.sum_ns
         );
     }
+    #[allow(clippy::cast_precision_loss)]
+    let per_guard = min_of("span_guard") as f64 / f64::from(GUARDS_PER_SPAN);
+    println!("  one span guard: {per_guard:.1} ns (fastest span_guard loop)");
 }
+
+/// Empty guards inside each `span_guard` occurrence.
+const GUARDS_PER_SPAN: u32 = 100_000;
 
 /// The fixed kernel suite. Workloads are sized so the whole suite runs in
 /// a few seconds yet every span accumulates enough occurrences for a
@@ -200,6 +157,15 @@ fn run_suite() {
             acc += (x.sqrt() + 1.0 / x).sin();
         }
         assert!(acc.is_finite());
+    }
+
+    // Instrumentation cost: empty guards back to back, so `span_guard`'s
+    // duration over GUARDS_PER_SPAN is the price of one span.
+    for _ in 0..8 {
+        let _sp = trace::span("span_guard");
+        for _ in 0..GUARDS_PER_SPAN {
+            let _empty = trace::span("span_guard_empty");
+        }
     }
 
     // Scalar tridiagonal sweeps (Thomas algorithm), n = 2000.

@@ -196,13 +196,6 @@ pub fn events_path(figure: &str) -> Option<String> {
     flag_or_value("--events", &format!("{figure}-events.jsonl"))
 }
 
-/// `--no-metrics`: disable the sampled timing-histogram registry (the
-/// overhead-measurement switch; metrics are on by default).
-#[must_use]
-pub fn no_metrics() -> bool {
-    flag("--no-metrics")
-}
-
 /// Flight-recorder black-box destination, parsed from `--blackbox=PATH`;
 /// defaults to `<figure>-blackbox.json`. The file is only written when a
 /// run actually dies (or `--inject-nan` fires), so the default is armed in
@@ -270,10 +263,6 @@ const KNOWN_FLAGS: &[(&str, &str)] = &[
     (
         "--events",
         "write sweep lifecycle events [=PATH, default <plan>-events.jsonl]",
-    ),
-    (
-        "--no-metrics",
-        "disable the sampled timing-histogram registry",
     ),
     (
         "--blackbox",
@@ -349,7 +338,6 @@ mod tests {
         assert_eq!(checkpoint_file("figX"), "figX-restart.atrc");
         assert_eq!(sweep_store_path("figX"), "figX-results.jsonl");
         assert!(events_path("figX").is_none());
-        assert!(!no_metrics());
         assert_eq!(blackbox_file("figX"), "figX-blackbox.json");
     }
 

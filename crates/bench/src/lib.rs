@@ -20,6 +20,7 @@
 use aerothermo_core::tables::Table;
 use aerothermo_numerics::json::{write_f64 as json_f64, write_string};
 use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity, CounterSnapshot, RunTelemetry};
+use aerothermo_numerics::trace;
 use std::time::Instant;
 
 pub mod cli;
@@ -89,21 +90,18 @@ pub struct Report {
 }
 
 impl Report {
-    /// Start a report scope for the named figure (snapshots the global
-    /// kernel counters). Honors the shared observability flags: `--trace`
-    /// enables the span profiler and `--audit` arms the in-situ physics
-    /// audits at the requested cadence, so every figure binary inherits
-    /// both without per-binary wiring.
+    /// Start a report scope for the named figure (snapshots the
+    /// process-wide kernel counters). Honors the shared observability
+    /// flags: `--trace` keeps the span timeline and `--audit` arms the
+    /// in-situ physics audits at the requested cadence, so every figure
+    /// binary inherits both without per-binary wiring.
     #[must_use]
     pub fn new(figure: &str) -> Self {
         if trace_path().is_some() {
-            aerothermo_numerics::trace::enable();
+            trace::enable_timeline();
         }
         if let Some(every) = audit_cadence() {
             aerothermo_solvers::audit::enable(every);
-        }
-        if cli::no_metrics() {
-            aerothermo_numerics::metrics::disable();
         }
         Self {
             figure: figure.to_string(),
@@ -220,35 +218,10 @@ impl Report {
             s.push_str(&format!("\n    {}: {}", json_string(name), json_f64(*v)));
         }
         s.push_str("\n  },\n");
-        // Sampled timing histograms from the metrics registry (all shards
-        // merged); only timers with data appear — a call count from `time`
-        // guards or samples from explicit `record_duration_ns`. Durations
-        // in ns.
-        let msnap = aerothermo_numerics::metrics::snapshot();
-        s.push_str("  \"timings\": {");
-        let mut first = true;
-        for t in &msnap.timings {
-            if t.calls == 0 && t.hist.count == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let (p50, p90, p99) = t.quantiles_ns();
-            s.push_str(&format!(
-                "\n    {}: {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {p50}, \
-                 \"p90_ns\": {p90}, \"p99_ns\": {p99}, \"mean_ns\": {}, \"max_ns\": {}, \
-                 \"total_ns\": {}}}",
-                json_string(t.timer.name()),
-                t.calls,
-                t.hist.count,
-                t.hist.mean_ns(),
-                t.hist.max_ns,
-                t.hist.sum_ns
-            ));
-        }
-        s.push_str("\n  },\n");
+        // Exact per-span timings over every thread (durations in ns).
+        s.push_str("  \"timings\": ");
+        trace::write_timings(&mut s, &trace::stats());
+        s.push_str(",\n");
         s.push_str("  \"phases\": {");
         for (k, (name, v)) in self.phases.iter().enumerate() {
             if k > 0 {
@@ -343,7 +316,7 @@ impl Report {
             eprintln!("# run report written to {path}");
         }
         if let Some(path) = trace_path() {
-            std::fs::write(&path, aerothermo_numerics::trace::chrome_trace_json())
+            std::fs::write(&path, trace::chrome_trace_json())
                 .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
             eprintln!("# chrome trace written to {path} (load in Perfetto / chrome://tracing)");
         }
@@ -443,10 +416,7 @@ mod tests {
         assert!(!r.check("quoted \"name\"", false, "line\nbreak"));
         r.histories
             .push(("res".to_string(), vec![1.0, 0.5, f64::INFINITY]));
-        aerothermo_numerics::metrics::record_duration_ns(
-            aerothermo_numerics::metrics::Timer::EulerStep,
-            1_000,
-        );
+        trace::spanned("report_test_kernel", || std::hint::black_box(1));
         let json = r.to_json();
         assert!(json.contains("\"figure\": \"test_fig\""));
         assert!(json.contains("\"timings\""));

@@ -14,19 +14,17 @@
 //! * [`quadrature`] — trapezoid, Simpson, Gauss-Legendre quadrature,
 //! * [`limiters`] — TVD slope limiters for MUSCL reconstruction,
 //! * [`simd`] — four-wide `f64` lanes for the vectorized flux/limiter
-//!   kernels (SSE2 behind the `simd` feature, hand-unrolled scalar
-//!   fallback otherwise, bitwise-identical semantics either way),
+//!   kernels (SSE2 on `x86_64`, a portable scalar quad elsewhere,
+//!   bitwise-identical semantics either way),
 //! * [`shortest`] — shortest round-trip decimal digits of an `f64` (Ryū),
 //!   the digit kernel behind [`json::push_f64`],
 //! * [`constants`] — physical constants in SI units,
-//! * [`telemetry`] — solver observability: kernel counters, phase timers,
-//!   residual monitors with divergence detection, physics-audit findings,
-//!   and the shared [`telemetry::SolverError`] type,
-//! * [`trace`] — RAII hierarchical span profiler with Chrome trace-event
-//!   export (`chrome://tracing` / Perfetto),
-//! * [`metrics`] — typed gauge and log-bucketed timing-histogram registry
-//!   with p50/p90/p99 summaries, JSON snapshots, and Prometheus-style
-//!   text exposition.
+//! * [`telemetry`] — solver observability: kernel counter names, phase
+//!   timers, residual monitors with divergence detection, physics-audit
+//!   findings, and the shared [`telemetry::SolverError`] type,
+//! * [`trace`] — the one instrumentation registry: exact RAII span timing
+//!   with histograms, per-thread kernel counters, gauges, Chrome
+//!   trace-event export, and JSON / Prometheus-style exposition.
 //!
 //! Everything is `f64`; the structured-grid solvers in `aerothermo-solvers`
 //! are written against these primitives rather than an external array crate so
@@ -47,7 +45,6 @@ pub mod interp;
 pub mod json;
 pub mod limiters;
 pub mod linalg;
-pub mod metrics;
 pub mod newton;
 pub mod ode;
 pub mod quadrature;

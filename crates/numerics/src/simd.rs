@@ -1,13 +1,14 @@
 //! Four-wide `f64` vectors for the hot flux/limiter kernels.
 //!
 //! The solvers write their vectorized inner loops once, against [`F64x4`];
-//! this module provides two interchangeable backends:
+//! the target picks one of two interchangeable backends:
 //!
-//! * with the `simd` cargo feature on an `x86_64` target, lanes live in a
-//!   pair of SSE2 `__m128d` registers (SSE2 is part of the `x86_64`
-//!   baseline, so no runtime feature detection is needed);
-//! * otherwise a hand-unrolled `[f64; 4]` scalar quad that the optimizer
-//!   can still keep in registers.
+//! * on `x86_64`, lanes live in a pair of SSE2 `__m128d` registers (SSE2 is
+//!   part of the `x86_64` baseline, so no runtime feature detection is
+//!   needed);
+//! * on every other target, a hand-unrolled `[f64; 4]` scalar quad that
+//!   the optimizer can still keep in registers. Tests compile it on
+//!   `x86_64` too and check it lane for lane against SSE2.
 //!
 //! Every operation is lane-wise IEEE-754 double arithmetic with **bitwise
 //! identical semantics across the two backends** — including the edge
@@ -15,14 +16,13 @@
 //! `if a > b { a } else { b }` per lane, which is exactly what the SSE2
 //! `minpd`/`maxpd` instructions compute (second operand returned on NaN or
 //! equal-magnitude signed zeros). [`F64x4::select`] is a bitwise blend, so
-//! NaNs in discarded lanes never propagate. This is what lets CI assert
-//! bitwise-identical physics payloads between `--features simd` and
-//! default-scalar builds.
+//! NaNs in discarded lanes never propagate, so physics payloads are
+//! bitwise identical on every target.
 
 use core::ops::{Add, Div, Mul, Neg, Sub};
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod backend {
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
     use super::*;
     use core::arch::x86_64::*;
 
@@ -196,8 +196,8 @@ mod backend {
     }
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod backend {
+#[cfg(any(not(target_arch = "x86_64"), test))]
+mod portable {
     use super::*;
 
     /// Four `f64` lanes as a hand-unrolled scalar quad.
@@ -406,7 +406,17 @@ mod backend {
     }
 }
 
-pub use backend::{F64x4, Mask4};
+#[cfg(not(target_arch = "x86_64"))]
+pub use portable::{F64x4, Mask4};
+#[cfg(target_arch = "x86_64")]
+pub use sse2::{F64x4, Mask4};
+
+/// The backend this build uses: `"sse2"` or `"portable"`.
+pub const BACKEND: &str = if cfg!(target_arch = "x86_64") {
+    "sse2"
+} else {
+    "portable"
+};
 
 impl core::fmt::Debug for F64x4 {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -414,71 +424,9 @@ impl core::fmt::Debug for F64x4 {
     }
 }
 
-/// Names of the perf-relevant cargo features compiled into this build of
-/// `aerothermo-numerics` — recorded by `perf_snapshot` so baselines from
-/// incompatible builds are never compared.
-#[must_use]
-pub fn active_features() -> Vec<&'static str> {
-    if cfg!(feature = "simd") {
-        vec!["simd"]
-    } else {
-        Vec::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arithmetic_matches_scalar_lanes() {
-        let a = F64x4::from_array([1.5, -2.25, 3.0e8, -7.125e-3]);
-        let b = F64x4::from_array([0.75, 4.5, -1.0e-4, 2.0]);
-        let (aa, ba) = (a.to_array(), b.to_array());
-        for (name, v, f) in [
-            (
-                "add",
-                (a + b).to_array(),
-                (|x, y| x + y) as fn(f64, f64) -> f64,
-            ),
-            ("sub", (a - b).to_array(), |x, y| x - y),
-            ("mul", (a * b).to_array(), |x, y| x * y),
-            ("div", (a / b).to_array(), |x, y| x / y),
-        ] {
-            for k in 0..4 {
-                assert_eq!(v[k].to_bits(), f(aa[k], ba[k]).to_bits(), "{name} lane {k}");
-            }
-        }
-        let s = a.abs().sqrt().to_array();
-        for k in 0..4 {
-            assert_eq!(
-                s[k].to_bits(),
-                aa[k].abs().sqrt().to_bits(),
-                "sqrt lane {k}"
-            );
-        }
-        let n = (-a).to_array();
-        for k in 0..4 {
-            assert_eq!(n[k].to_bits(), (-aa[k]).to_bits(), "neg lane {k}");
-        }
-    }
-
-    #[test]
-    fn min_max_follow_branch_semantics() {
-        // min = `if a < b { a } else { b }`, max = `if a > b { a } else { b }`
-        // — including NaN (second operand wins) and signed zeros.
-        let a = F64x4::from_array([1.0, f64::NAN, 0.0, -3.0]);
-        let b = F64x4::from_array([2.0, 5.0, -0.0, f64::NAN]);
-        let mn = a.min(b).to_array();
-        let mx = a.max(b).to_array();
-        let (aa, ba) = (a.to_array(), b.to_array());
-        for k in 0..4 {
-            let emn = if aa[k] < ba[k] { aa[k] } else { ba[k] };
-            let emx = if aa[k] > ba[k] { aa[k] } else { ba[k] };
-            assert_eq!(mn[k].to_bits(), emn.to_bits(), "min lane {k}");
-            assert_eq!(mx[k].to_bits(), emx.to_bits(), "max lane {k}");
-        }
-    }
 
     #[test]
     fn select_is_a_bitwise_blend() {
@@ -500,5 +448,73 @@ mod tests {
         let mut dst = [0.0; 6];
         v.store(&mut dst[2..]);
         assert_eq!(dst, [0.0, 0.0, 0.2, 0.3, 0.4, 0.5]);
+    }
+
+    /// Every operation of the SSE2 backend agrees bit for bit with the
+    /// portable one, edge values included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_matches_portable_lane_for_lane() {
+        use super::portable::F64x4 as P;
+        let vals = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            3.0e8,
+            -7.125e-3,
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            1.0 / 3.0,
+        ];
+        let quad = |k: usize| std::array::from_fn::<f64, 4, _>(|l| vals[(k + 3 * l) % vals.len()]);
+        let bits = |a: [f64; 4]| a.map(f64::to_bits);
+        let mut slice = [0.0; 4];
+        for k in 0..vals.len() {
+            for m in 0..vals.len() {
+                let (a, b) = (quad(k), quad(m));
+                let (s, t) = (F64x4::from_array(a), F64x4::from_array(b));
+                let (p, q) = (P::from_array(a), P::from_array(b));
+                let pairs = [
+                    ((s + t).to_array(), (p + q).to_array()),
+                    ((s - t).to_array(), (p - q).to_array()),
+                    ((s * t).to_array(), (p * q).to_array()),
+                    ((s / t).to_array(), (p / q).to_array()),
+                    ((-s).to_array(), (-p).to_array()),
+                    (s.abs().to_array(), p.abs().to_array()),
+                    (s.sqrt().to_array(), p.sqrt().to_array()),
+                    (s.min(t).to_array(), p.min(q).to_array()),
+                    (s.max(t).to_array(), p.max(q).to_array()),
+                    (
+                        F64x4::select(s.lt(t), s, t).to_array(),
+                        P::select(p.lt(q), p, q).to_array(),
+                    ),
+                    (
+                        F64x4::select(s.le(t), s, t).to_array(),
+                        P::select(p.le(q), p, q).to_array(),
+                    ),
+                    (
+                        F64x4::select(s.gt(t), s, t).to_array(),
+                        P::select(p.gt(q), p, q).to_array(),
+                    ),
+                    (
+                        F64x4::select(s.ge(t), s, t).to_array(),
+                        P::select(p.ge(q), p, q).to_array(),
+                    ),
+                    (F64x4::splat(a[0]).to_array(), P::splat(a[0]).to_array()),
+                    (F64x4::load(&a).to_array(), P::load(&a).to_array()),
+                ];
+                for (n, (x, y)) in pairs.iter().enumerate() {
+                    assert_eq!(bits(*x), bits(*y), "op {n} on {a:?}, {b:?}");
+                }
+                s.store(&mut slice);
+                let from_sse2 = slice;
+                p.store(&mut slice);
+                assert_eq!(bits(from_sse2), bits(slice), "store on {a:?}");
+            }
+        }
     }
 }

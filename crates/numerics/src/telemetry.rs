@@ -3,13 +3,13 @@
 //! Dependency-free instrumentation threaded through every solver and hot
 //! kernel in the workspace:
 //!
-//! - [`counters`]: process-wide named counters (Newton iterations,
-//!   tridiagonal solves, chemistry substeps, rejected ODE steps, …) backed
-//!   by relaxed atomics — one integer add per *solve*, not per cell, so the
-//!   overhead on the solver kernels is unmeasurable.
+//! - [`counters`]: the named kernel counters (Newton iterations,
+//!   tridiagonal solves, chemistry substeps, rejected ODE steps, …), stored
+//!   per thread in the [`crate::trace`] registry — one integer add per
+//!   *solve*, not per cell, so the overhead on the solver kernels is
+//!   unmeasurable.
 //! - [`RunTelemetry`]: a per-run sink collecting monotonic wall-clock phase
-//!   timings, residual convergence histories, and the counter deltas
-//!   attributable to the run.
+//!   timings, residual convergence histories, and audit findings.
 //! - [`ResidualMonitor`]: per-iteration residual recording with early
 //!   NaN/Inf detection and sliding-window divergence detection, so an
 //!   unstable run terminates with [`SolverError::Diverged`] instead of
@@ -25,212 +25,118 @@
 
 use std::time::Instant;
 
-/// Named process-wide counters incremented by the numerical kernels.
+/// Named kernel counters incremented by the numerical kernels.
 pub mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    /// Declares [`Counter`], its [`Counter::ALL`] list, its JSON names and
+    /// [`N_COUNTERS`] from one list.
+    macro_rules! counters {
+        ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+            /// The fixed set of instrumented kernel events.
+            #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+            #[repr(usize)]
+            pub enum Counter {
+                $($(#[$doc])* $variant,)*
+            }
 
-    /// The fixed set of instrumented kernel events.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    #[repr(usize)]
-    pub enum Counter {
+            /// Number of distinct counters.
+            pub const N_COUNTERS: usize = [$(Counter::$variant),*].len();
+
+            impl Counter {
+                /// Every counter, in declaration order.
+                pub const ALL: [Counter; N_COUNTERS] = [$(Counter::$variant),*];
+
+                /// Stable snake_case name (used as the JSON report key).
+                #[must_use]
+                pub fn name(self) -> &'static str {
+                    match self {
+                        $(Counter::$variant => $name,)*
+                    }
+                }
+            }
+        };
+    }
+
+    counters! {
         /// Damped-Newton solves started ([`crate::newton::newton_solve`]).
-        NewtonSolves,
+        NewtonSolves => "newton_solves",
         /// Total Newton iterations across all solves.
-        NewtonIterations,
+        NewtonIterations => "newton_iterations",
         /// Scalar tridiagonal (Thomas) solves.
-        TridiagSolves,
+        TridiagSolves => "tridiag_solves",
         /// Block-tridiagonal solves.
-        BlockTridiagSolves,
+        BlockTridiagSolves => "block_tridiag_solves",
         /// Chemistry operator-split substeps (reacting solver).
-        ChemistrySubsteps,
+        ChemistrySubsteps => "chemistry_substeps",
         /// Accepted adaptive ODE steps (RKF45 + stiff backward Euler).
-        OdeStepsAccepted,
+        OdeStepsAccepted => "ode_steps_accepted",
         /// Rejected (error-controlled retry) adaptive ODE steps.
-        OdeStepsRejected,
+        OdeStepsRejected => "ode_steps_rejected",
         /// Equilibrium-composition state evaluations.
-        EquilibriumStates,
+        EquilibriumStates => "equilibrium_states",
         /// Spectrum wavelength-point evaluations (radiation).
-        SpectrumPoints,
+        SpectrumPoints => "spectrum_points",
         /// Face fluxes evaluated by the face-based residual assembly.
-        FacesEvaluated,
+        FacesEvaluated => "faces_evaluated",
         /// Equilibrium solves seeded from the warm-start cache.
-        EquilibriumCacheHits,
+        EquilibriumCacheHits => "equilibrium_cache_hits",
         /// Equilibrium solves with no usable cached neighbor.
-        EquilibriumCacheMisses,
+        EquilibriumCacheMisses => "equilibrium_cache_misses",
         /// Newton iterations started from a cached element-potential
         /// vector instead of the cold pre-balance sweep.
-        NewtonWarmStarts,
+        NewtonWarmStarts => "newton_warm_starts",
         /// Run-control checkpoints serialized to disk.
-        CheckpointsWritten,
+        CheckpointsWritten => "checkpoints_written",
         /// Run-control rollback/retry events (checkpoint restores and
         /// single-shot backoff retries).
-        RunRollbacks,
+        RunRollbacks => "run_rollbacks",
         /// Micro-batched equilibrium Newton passes (each covers 1–4 states).
-        EquilibriumBatches,
+        EquilibriumBatches => "equilibrium_batches",
         /// States evaluated through the micro-batched equilibrium path.
-        EquilibriumBatchStates,
+        EquilibriumBatchStates => "equilibrium_batch_states",
         /// Equilibrium batches that ran with exactly 1 lane.
-        EquilibriumBatchLanes1,
+        EquilibriumBatchLanes1 => "equilibrium_batch_lanes_1",
         /// Equilibrium batches that ran with exactly 2 lanes.
-        EquilibriumBatchLanes2,
+        EquilibriumBatchLanes2 => "equilibrium_batch_lanes_2",
         /// Equilibrium batches that ran with exactly 3 lanes.
-        EquilibriumBatchLanes3,
+        EquilibriumBatchLanes3 => "equilibrium_batch_lanes_3",
         /// Equilibrium batches that ran with the full 4 lanes.
-        EquilibriumBatchLanes4,
+        EquilibriumBatchLanes4 => "equilibrium_batch_lanes_4",
         /// Faces evaluated by the four-wide vectorized flux kernel (the
         /// remainder of [`Counter::FacesEvaluated`] went through the scalar
         /// boundary/tail path).
-        FluxSimdFaces,
+        FluxSimdFaces => "flux_simd_faces",
         /// Stagnation-heating queries answered by the surrogate fast path
         /// (single and batched).
-        SurrogateQueries,
+        SurrogateQueries => "surrogate_queries",
         /// Surrogate response-surface tables built (each build walks the
         /// exact path over the whole grid, so a resident table should pin
         /// this at 1 while `SurrogateQueries` grows).
-        SurrogateBuilds,
+        SurrogateBuilds => "surrogate_builds",
         /// Stagnation-heating queries that fell back to the exact
         /// `StagnationResponse` path because the point lay outside the
         /// resident table's corridor.
-        SurrogateExactFallbacks,
+        SurrogateExactFallbacks => "surrogate_exact_fallbacks",
         /// Forward-difference Jacobians assembled by the stiff integrator:
         /// one per attempted step, plus one per Newton iterate of a solve
         /// that fell back from the shared Jacobian to fresh ones (so the
         /// excess over the attempted steps shows how often that fired).
-        OdeJacobians,
+        OdeJacobians => "ode_jacobians",
     }
 
-    /// Number of distinct counters.
-    pub const N_COUNTERS: usize = 26;
-
-    impl Counter {
-        /// Every counter, in declaration order.
-        pub const ALL: [Counter; N_COUNTERS] = [
-            Counter::NewtonSolves,
-            Counter::NewtonIterations,
-            Counter::TridiagSolves,
-            Counter::BlockTridiagSolves,
-            Counter::ChemistrySubsteps,
-            Counter::OdeStepsAccepted,
-            Counter::OdeStepsRejected,
-            Counter::EquilibriumStates,
-            Counter::SpectrumPoints,
-            Counter::FacesEvaluated,
-            Counter::EquilibriumCacheHits,
-            Counter::EquilibriumCacheMisses,
-            Counter::NewtonWarmStarts,
-            Counter::CheckpointsWritten,
-            Counter::RunRollbacks,
-            Counter::EquilibriumBatches,
-            Counter::EquilibriumBatchStates,
-            Counter::EquilibriumBatchLanes1,
-            Counter::EquilibriumBatchLanes2,
-            Counter::EquilibriumBatchLanes3,
-            Counter::EquilibriumBatchLanes4,
-            Counter::FluxSimdFaces,
-            Counter::SurrogateQueries,
-            Counter::SurrogateBuilds,
-            Counter::SurrogateExactFallbacks,
-            Counter::OdeJacobians,
-        ];
-
-        /// Stable snake_case name (used as the JSON report key).
-        #[must_use]
-        pub fn name(self) -> &'static str {
-            match self {
-                Counter::NewtonSolves => "newton_solves",
-                Counter::NewtonIterations => "newton_iterations",
-                Counter::TridiagSolves => "tridiag_solves",
-                Counter::BlockTridiagSolves => "block_tridiag_solves",
-                Counter::ChemistrySubsteps => "chemistry_substeps",
-                Counter::OdeStepsAccepted => "ode_steps_accepted",
-                Counter::OdeStepsRejected => "ode_steps_rejected",
-                Counter::EquilibriumStates => "equilibrium_states",
-                Counter::SpectrumPoints => "spectrum_points",
-                Counter::FacesEvaluated => "faces_evaluated",
-                Counter::EquilibriumCacheHits => "equilibrium_cache_hits",
-                Counter::EquilibriumCacheMisses => "equilibrium_cache_misses",
-                Counter::NewtonWarmStarts => "newton_warm_starts",
-                Counter::CheckpointsWritten => "checkpoints_written",
-                Counter::RunRollbacks => "run_rollbacks",
-                Counter::EquilibriumBatches => "equilibrium_batches",
-                Counter::EquilibriumBatchStates => "equilibrium_batch_states",
-                Counter::EquilibriumBatchLanes1 => "equilibrium_batch_lanes_1",
-                Counter::EquilibriumBatchLanes2 => "equilibrium_batch_lanes_2",
-                Counter::EquilibriumBatchLanes3 => "equilibrium_batch_lanes_3",
-                Counter::EquilibriumBatchLanes4 => "equilibrium_batch_lanes_4",
-                Counter::FluxSimdFaces => "flux_simd_faces",
-                Counter::SurrogateQueries => "surrogate_queries",
-                Counter::SurrogateBuilds => "surrogate_builds",
-                Counter::SurrogateExactFallbacks => "surrogate_exact_fallbacks",
-                Counter::OdeJacobians => "ode_jacobians",
-            }
-        }
-    }
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const COUNTER_ZERO: AtomicU64 = AtomicU64::new(0);
-    static COUNTERS: [AtomicU64; N_COUNTERS] = [COUNTER_ZERO; N_COUNTERS];
-
-    thread_local! {
-        /// Per-thread mirror of the global counters, incremented alongside
-        /// them. This is what makes honest *per-case* attribution possible
-        /// when many solver runs share the process (the sweep engine):
-        /// the global atomics interleave counts from concurrent cases,
-        /// while each thread's mirror only ever sees the work that
-        /// executed on that thread.
-        static THREAD_COUNTERS: [std::cell::Cell<u64>; N_COUNTERS] =
-            std::array::from_fn(|_| std::cell::Cell::new(0));
-    }
-
-    /// Add `n` to a counter (relaxed; safe from any thread). The calling
-    /// thread's mirror is incremented too (see [`super::TelemetryScope`]).
+    /// Add `n` to a counter in the calling thread's shard of the
+    /// [`crate::trace`] registry (one owner-only relaxed store).
     #[inline]
     pub fn add(counter: Counter, n: u64) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-        // try_with: silently skip the mirror during TLS teardown.
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            let c = &t[counter as usize];
-            c.set(c.get().wrapping_add(n));
-        });
+        crate::trace::add_counter(counter, n);
     }
 
-    /// Snapshot the *calling thread's* counter mirror (counts attributed
-    /// to kernels that executed on this thread since it started).
+    /// Snapshot the *calling thread's* counters (work attributed to
+    /// kernels that executed on this thread since it started).
     #[must_use]
     pub fn thread_snapshot() -> CounterSnapshot {
-        let mut values = [0u64; N_COUNTERS];
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            for (v, c) in values.iter_mut().zip(t.iter()) {
-                *v = c.get();
-            }
-        });
-        CounterSnapshot { values }
-    }
-
-    /// Current value of one counter.
-    #[must_use]
-    pub fn get(counter: Counter) -> u64 {
-        COUNTERS[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// Reset every counter to zero (tests and bench harnesses only).
-    pub fn reset_all() {
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
+        CounterSnapshot {
+            values: crate::trace::thread_counters(),
         }
-    }
-
-    /// Zero the *calling thread's* counter mirror. Mirrors are `Cell`s and
-    /// cannot be reached cross-thread; per-case attribution on other
-    /// threads is windowed through [`super::TelemetryScope`] baselines, so
-    /// only the thread running back-to-back `#[test]` functions needs
-    /// this.
-    pub fn reset_thread_mirror() {
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            for c in t.iter() {
-                c.set(0);
-            }
-        });
     }
 
     /// A point-in-time copy of all counters.
@@ -240,14 +146,13 @@ pub mod counters {
     }
 
     impl CounterSnapshot {
-        /// Snapshot the current counter values.
+        /// Process-wide totals: the sum over every thread's shard, live
+        /// or exited, since the last [`crate::trace::reset_all`].
         #[must_use]
         pub fn take() -> Self {
-            let mut values = [0u64; N_COUNTERS];
-            for (v, c) in values.iter_mut().zip(&COUNTERS) {
-                *v = c.load(Ordering::Relaxed);
+            Self {
+                values: crate::trace::counter_totals(),
             }
-            Self { values }
         }
 
         /// Counters accumulated since `earlier` (saturating).
@@ -277,34 +182,19 @@ pub mod counters {
 
 pub use counters::{Counter, CounterSnapshot};
 
-/// Reset *all* process-global observability state: kernel counters (global
-/// atomics plus the calling thread's mirror), every thread's trace buffer,
-/// and every thread's metrics shard (timing histograms and gauges).
-///
-/// This is the between-`#[test]` reset: the test runner reuses threads
-/// across `#[test]` functions, so thread-local state bleeds between tests
-/// unless cleared here. Not for use mid-run.
-pub fn reset_all() {
-    counters::reset_all();
-    counters::reset_thread_mirror();
-    crate::trace::reset();
-    crate::metrics::reset_all();
-}
-
 /// Thread-scoped counter window for per-run attribution.
 ///
-/// The kernel counters are process-global atomics, so two solver runs
-/// executing concurrently (sweep-engine cases, parallel tests) interleave
-/// their counts and a global before/after delta lies about both. A
-/// `TelemetryScope` instead deltas the calling thread's *thread-local
-/// counter mirror*, which only ever accumulates work executed on that
-/// thread.
+/// Two solver runs executing concurrently (sweep-engine cases, parallel
+/// tests) interleave their counts in the process-wide totals, so a global
+/// before/after delta lies about both. A `TelemetryScope` instead deltas
+/// the calling thread's own counter shard, which only ever accumulates
+/// work executed on that thread.
 ///
 /// # Attribution semantics
 ///
 /// Counts are attributed to the thread that *executes* the instrumented
 /// kernel, not the thread that requested it. Work a solver offloads to
-/// rayon pool threads therefore lands on those threads' mirrors and is
+/// rayon pool threads therefore lands on those threads' shards and is
 /// **not** folded back into the calling scope. Callers that need complete
 /// attribution must pin the run to the calling thread — e.g. wrap it in
 /// `rayon::ThreadPoolBuilder::new().num_threads(1)...install(..)`, which
@@ -313,15 +203,14 @@ pub fn reset_all() {
 /// single-threaded, and every count lands in the case's scope.
 ///
 /// Scopes on the same thread may nest (each holds its own baseline), and
-/// the global counters are untouched — process-wide totals and per-scope
-/// windows coexist.
+/// process-wide totals and per-scope windows coexist.
 #[derive(Debug, Clone)]
 pub struct TelemetryScope {
     baseline: CounterSnapshot,
 }
 
 impl TelemetryScope {
-    /// Open a scope: snapshot the calling thread's counter mirror.
+    /// Open a scope: snapshot the calling thread's counters.
     #[must_use]
     pub fn begin() -> Self {
         Self {
@@ -331,7 +220,7 @@ impl TelemetryScope {
 
     /// Counters accumulated *on this thread* since [`TelemetryScope::begin`].
     /// Call from the same thread that opened the scope; from any other
-    /// thread the delta is against that thread's unrelated mirror and is
+    /// thread the delta is against that thread's unrelated counters and is
     /// meaningless.
     #[must_use]
     pub fn thread_delta(&self) -> CounterSnapshot {
@@ -660,24 +549,22 @@ impl Default for ResidualMonitor {
     }
 }
 
-/// Per-run telemetry sink: wall-clock phases, residual histories, and the
-/// counter deltas attributable to the run.
+/// Per-run telemetry sink: wall-clock phases, residual histories, and
+/// audit findings.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     started: Instant,
-    counters_at_start: CounterSnapshot,
     phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<AuditFinding>,
 }
 
 impl RunTelemetry {
-    /// Start a telemetry scope now (snapshots the global counters).
+    /// Start a telemetry scope now.
     #[must_use]
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            counters_at_start: CounterSnapshot::take(),
             phases: Vec::new(),
             histories: Vec::new(),
             audits: Vec::new(),
@@ -730,12 +617,6 @@ impl RunTelemetry {
         self.audits.iter().map(|a| a.severity).max()
     }
 
-    /// Counter deltas accumulated since this scope started.
-    #[must_use]
-    pub fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot::take().delta_since(&self.counters_at_start)
-    }
-
     /// Wall-clock seconds since the scope started (monotonic).
     #[must_use]
     pub fn elapsed_secs(&self) -> f64 {
@@ -780,7 +661,7 @@ mod tests {
     fn telemetry_scope_counts_only_this_thread() {
         // Two threads, each with its own scope and a distinct add pattern:
         // each scope must see exactly its own thread's counts no matter
-        // how the adds interleave — the property the global atomics cannot
+        // how the adds interleave — the property a global total cannot
         // provide and the sweep engine's per-case attribution relies on.
         let handles: Vec<_> = (1..=2u64)
             .map(|k| {

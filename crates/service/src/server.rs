@@ -23,8 +23,8 @@ use aerothermo_core::surrogate::{ExactResponse, RadiativeModel, StagnationRespon
 use aerothermo_core::{HeatingModel, SurrogateBuilder, SurrogateQuery, SurrogateTable};
 use aerothermo_gas::eq_table::air9_table;
 use aerothermo_numerics::json::{self, push_f64, write_string, Value};
-use aerothermo_numerics::metrics;
 use aerothermo_numerics::telemetry::{counters, Counter, SolverError};
+use aerothermo_numerics::trace;
 use aerothermo_sweep::{ShardSpec, ShardStrategy, SweepPlan};
 
 use crate::framing::LineBuf;
@@ -599,7 +599,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
                 .get("format")
                 .and_then(Value::as_str)
                 .unwrap_or("prometheus");
-            let snap = metrics::snapshot();
+            let snap = trace::snapshot();
             match format {
                 "prometheus" => Ok(format!(
                     "{{\"ok\": true, \"format\": \"prometheus\", \"metrics\": {}}}",

@@ -21,7 +21,7 @@ use aerothermo_numerics::simd::F64x4;
 use aerothermo_numerics::telemetry::{
     counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
 };
-use aerothermo_numerics::{metrics, trace, Field3};
+use aerothermo_numerics::{trace, Field3};
 use rayon::prelude::*;
 
 /// Number of conserved variables.
@@ -877,7 +877,7 @@ impl<'a> EulerSolver<'a> {
     /// half the flux arithmetic of the cell-centered sweep, which evaluated
     /// every interior face twice.
     pub(crate) fn assemble_faces(&self, scratch: &mut EulerScratch, first_order: bool) {
-        let _mt = metrics::time(metrics::Timer::FaceSweep);
+        let _sp = trace::span("face_sweep");
         let nci = self.nci();
         let ncj = self.ncj();
         scratch.prim.resize(nci * ncj);
@@ -898,7 +898,7 @@ impl<'a> EulerSolver<'a> {
             self.opts.limiter
         };
         let prim: &PrimSoA = &scratch.prim;
-        let _sp = aerothermo_numerics::trace::span("flux_kernel_simd");
+        let _kernel = trace::span("flux_kernel_simd");
         scratch
             .fi
             .par_chunks_mut(ncj)
@@ -1084,7 +1084,6 @@ impl<'a> EulerSolver<'a> {
     /// density-residual L2 norm (per cell).
     pub fn step(&mut self) -> f64 {
         let _sp = trace::span("euler_step");
-        let _mt = metrics::time(metrics::Timer::EulerStep);
         let (startup, cfl) = crate::runctl::startup_schedule(
             self.steps_taken,
             self.opts.startup_steps,

@@ -359,7 +359,6 @@ impl<'a> NsSolver<'a> {
     /// One explicit step; returns the density-residual norm.
     pub fn step(&mut self) -> f64 {
         let _sp = trace::span("ns_step");
-        let _mt = aerothermo_numerics::metrics::time(aerothermo_numerics::metrics::Timer::NsStep);
         let (startup, cfl) = crate::runctl::startup_schedule(
             self.steps,
             self.startup_steps,

@@ -861,8 +861,6 @@ impl<'a> ReactingSolver<'a> {
     /// the density residual norm.
     pub fn step(&mut self) -> f64 {
         let _sp = trace::span("reacting_step");
-        let _mt =
-            aerothermo_numerics::metrics::time(aerothermo_numerics::metrics::Timer::ReactingStep);
         // Shared startup schedule: `first` also gates the chemistry substep
         // (frozen through the startup transient), so the run-control
         // first-order fallback intentionally does not apply here.

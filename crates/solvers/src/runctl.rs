@@ -27,10 +27,10 @@
 //!   incremental state to checkpoint.
 
 use crate::flight;
-use aerothermo_numerics::metrics;
 use aerothermo_numerics::telemetry::{
     counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
 };
+use aerothermo_numerics::trace;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -572,7 +572,7 @@ fn run_inner<S: Steppable + ?Sized>(
                 if scale < 1.0 && opts.reramp_after != 0 && clean >= opts.reramp_after {
                     scale = (scale / opts.backoff).min(1.0);
                     solver.set_cfl_scale(scale);
-                    metrics::set_gauge(metrics::Gauge::CflScale, scale);
+                    trace::set_gauge(trace::Gauge::CflScale, scale);
                     if scale >= 1.0 {
                         solver.set_first_order_fallback(false);
                     }
@@ -640,7 +640,7 @@ fn run_inner<S: Steppable + ?Sized>(
                 solver.restore_state(snap)?;
                 scale = (scale * opts.backoff).max(opts.min_cfl_scale);
                 solver.set_cfl_scale(scale);
-                metrics::set_gauge(metrics::Gauge::CflScale, scale);
+                trace::set_gauge(trace::Gauge::CflScale, scale);
                 if opts.first_order_fallback {
                     solver.set_first_order_fallback(true);
                 }

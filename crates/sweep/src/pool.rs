@@ -11,9 +11,8 @@ use crate::spec::CaseSpec;
 use crate::store::{completed_ids, load_records, JsonlWriter};
 pub use crate::store::{CaseOutcome, CaseStatus};
 use aerothermo_gas::reset_thread_warm_cache;
-use aerothermo_numerics::metrics::{set_gauge, Gauge};
 use aerothermo_numerics::telemetry::{SolverError, TelemetryScope};
-use aerothermo_numerics::trace;
+use aerothermo_numerics::trace::{self, set_gauge, Gauge};
 use aerothermo_solvers::audit;
 use rayon::ThreadPoolBuilder;
 use std::collections::{HashMap, VecDeque};
@@ -224,9 +223,9 @@ struct ObsGuard {
 
 impl ObsGuard {
     fn engage(opts: &SweepOptions) -> Self {
-        let trace_enabled_here = opts.trace_base.is_some() && !trace::is_enabled();
+        let trace_enabled_here = opts.trace_base.is_some() && !trace::timeline_enabled();
         if trace_enabled_here {
-            trace::enable();
+            trace::enable_timeline();
         }
         let audit_prior = audit::cadence();
         let audit_changed = opts.audit_every > 0 && opts.audit_every != audit_prior;
@@ -244,7 +243,7 @@ impl ObsGuard {
 impl Drop for ObsGuard {
     fn drop(&mut self) {
         if self.trace_enabled_here {
-            trace::disable();
+            trace::disable_timeline();
         }
         if self.audit_changed {
             if self.audit_prior > 0 {
@@ -590,6 +589,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
                 .is_some_and(|c| c.load(Ordering::SeqCst)),
         planned: plan.cases.len(),
         outcomes,
+        timings: trace::stats(),
     };
     if let Some(sink) = &sink {
         let c = report.counts();

@@ -1,12 +1,14 @@
 //! End-of-sweep aggregate report, schema-compatible with the figure
 //! binaries' `--report` JSON (same top-level keys: `figure`,
-//! `elapsed_secs`, `all_green`, `checks`, `counters`, `metrics`, `phases`,
-//! `histories`, `history_summaries`, `audits`, `audit_summary`), so the CI
-//! tooling that parses figure reports parses sweep reports unchanged.
+//! `elapsed_secs`, `all_green`, `checks`, `counters`, `metrics`, `timings`,
+//! `phases`, `histories`, `history_summaries`, `audits`, `audit_summary`),
+//! so the CI tooling that parses figure reports parses sweep reports
+//! unchanged.
 
 use crate::store::{CaseOutcome, CaseStatus};
 use aerothermo_numerics::json::{write_f64, write_string};
 use aerothermo_numerics::telemetry::Counter;
+use aerothermo_numerics::trace::{self, SpanStats};
 use std::collections::HashMap;
 
 /// Exit code for a sweep that finished with failed/timed-out cases under
@@ -43,6 +45,9 @@ pub struct SweepReport {
     /// Per-case outcomes in plan order (executed + resumed; cases never
     /// reached by a halted sweep are absent).
     pub outcomes: Vec<CaseOutcome>,
+    /// The process's span statistics when the sweep finished (every
+    /// thread; concurrent sweeps in one process share them).
+    pub timings: Vec<SpanStats>,
 }
 
 impl SweepReport {
@@ -203,6 +208,9 @@ impl SweepReport {
             s.push_str(&format!("\n    {}: {}", write_string(name), write_f64(*v)));
         }
         s.push_str("\n  },\n");
+        s.push_str("  \"timings\": ");
+        trace::write_timings(&mut s, &self.timings);
+        s.push_str(",\n");
 
         // Phases: per-case wall time on its worker (the sweep's analogue of
         // solver phase timings).
@@ -295,6 +303,7 @@ mod tests {
             halted: false,
             planned: outcomes.len(),
             outcomes,
+            timings: Vec::new(),
         }
     }
 
@@ -313,6 +322,7 @@ mod tests {
             "checks",
             "counters",
             "metrics",
+            "timings",
             "phases",
             "histories",
             "history_summaries",
