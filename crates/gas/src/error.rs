@@ -9,8 +9,8 @@
 /// inversions in `aerothermo-gas`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GasError {
-    /// The element-potential Newton iteration (including its continuation
-    /// fallbacks) failed to converge.
+    /// The element-potential Newton iteration failed to converge from both
+    /// the warm-cache seed (when one was found) and the cold start.
     EquilibriumNotConverged {
         /// Temperature of the failed solve \[K\].
         temperature: f64,

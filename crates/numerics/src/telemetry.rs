@@ -121,6 +121,22 @@ pub mod counters {
         /// that fell back from the shared Jacobian to fresh ones (so the
         /// excess over the attempted steps shows how often that fired).
         OdeJacobians => "ode_jacobians",
+        /// Equilibrium solves whose Newton iteration started from the cold
+        /// pre-balance seed: warm-cache misses plus stale warm seeds that
+        /// fell back to it.
+        EquilibriumColdStarts => "equilibrium_cold_starts",
+        /// Equilibrium solves that converged from neither the warm seed nor
+        /// the cold start and returned an error.
+        EquilibriumFailures => "equilibrium_failures",
+        /// The part of [`Counter::EquilibriumFailures`] at or below the
+        /// 60 K floor of the gas layer's temperature inversions: probes
+        /// below the range where cold polyatomic mixtures (Titan N₂/CH₄)
+        /// converge, not states a flow solver asked for.
+        EquilibriumFloorFailures => "equilibrium_floor_failures",
+        /// Direct equilibrium equation-of-state calls (`GasModel` energy,
+        /// pressure or temperature) that returned their default value
+        /// because the temperature inversion failed.
+        EosFallbacks => "eos_fallbacks",
     }
 
     /// Add `n` to a counter in the calling thread's shard of the
