@@ -16,6 +16,12 @@ pub enum RootError {
     },
     /// The iteration budget was exhausted; carries the best estimate.
     MaxIterations(f64),
+    /// `f(x)` was NaN or infinite (a residual that could not be
+    /// evaluated), so no sign test at `x` means anything.
+    NonFinite {
+        /// The abscissa of the first non-finite residual.
+        x: f64,
+    },
 }
 
 impl std::fmt::Display for RootError {
@@ -25,11 +31,22 @@ impl std::fmt::Display for RootError {
                 write!(f, "no sign change: f(a)={fa:.3e}, f(b)={fb:.3e}")
             }
             RootError::MaxIterations(x) => write!(f, "root iterations exhausted near {x:.6e}"),
+            RootError::NonFinite { x } => write!(f, "non-finite residual at x={x:.6e}"),
         }
     }
 }
 
 impl std::error::Error for RootError {}
+
+/// `f(x)`, or [`RootError::NonFinite`] when it is NaN or infinite.
+fn finite(f: &mut impl FnMut(f64) -> f64, x: f64) -> Result<f64, RootError> {
+    let fx = f(x);
+    if fx.is_finite() {
+        Ok(fx)
+    } else {
+        Err(RootError::NonFinite { x })
+    }
+}
 
 /// Bisection to absolute tolerance `tol` on the interval width.
 ///
@@ -74,6 +91,7 @@ pub fn bisect(
 ///
 /// # Errors
 /// [`RootError::NoBracket`] when the endpoints do not bracket a root;
+/// [`RootError::NonFinite`] at the first NaN or infinite residual;
 /// [`RootError::MaxIterations`] if 100 iterations do not reach `tol`.
 pub fn brent(
     mut f: impl FnMut(f64) -> f64,
@@ -81,8 +99,8 @@ pub fn brent(
     mut b: f64,
     tol: f64,
 ) -> Result<f64, RootError> {
-    let mut fa = f(a);
-    let mut fb = f(b);
+    let mut fa = finite(&mut f, a)?;
+    let mut fb = finite(&mut f, b)?;
     if fa == 0.0 {
         return Ok(a);
     }
@@ -130,7 +148,7 @@ pub fn brent(
         } else {
             mflag = false;
         }
-        let fs = f(s);
+        let fs = finite(&mut f, s)?;
         d = b - c;
         c = b;
         fc = fb;
@@ -154,7 +172,8 @@ pub fn brent(
 /// where a physically sensible starting interval is known but not guaranteed.
 ///
 /// # Errors
-/// Fails when no sign change is found within `max_expand` doublings.
+/// Fails when no sign change is found within `max_expand` doublings, and
+/// with [`RootError::NonFinite`] at the first NaN or infinite residual.
 pub fn brent_expanding(
     mut f: impl FnMut(f64) -> f64,
     x0: f64,
@@ -166,8 +185,8 @@ pub fn brent_expanding(
 ) -> Result<f64, RootError> {
     let mut a = (x0 - dx0).max(lo_limit);
     let mut b = (x0 + dx0).min(hi_limit);
-    let mut fa = f(a);
-    let mut fb = f(b);
+    let mut fa = finite(&mut f, a)?;
+    let mut fb = finite(&mut f, b)?;
     let mut k = 0;
     while fa * fb > 0.0 {
         if k >= max_expand {
@@ -176,10 +195,10 @@ pub fn brent_expanding(
         let w = b - a;
         if fa.abs() < fb.abs() {
             a = (a - w).max(lo_limit);
-            fa = f(a);
+            fa = finite(&mut f, a)?;
         } else {
             b = (b + w).min(hi_limit);
-            fb = f(b);
+            fb = finite(&mut f, b)?;
         }
         if (a - lo_limit).abs() < 1e-300 && (b - hi_limit).abs() < 1e-300 && fa * fb > 0.0 {
             return Err(RootError::NoBracket { fa, fb });
@@ -225,6 +244,53 @@ mod tests {
         // Root at 1000, start near 1.
         let r = brent_expanding(|x| x - 1000.0, 1.0, 0.5, 0.0, 1e9, 1e-9, 60).unwrap();
         assert!((r - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_residuals_fail_at_the_first_probe() {
+        // A NaN endpoint used to pass the bracket test (NaN > 0 is false)
+        // and send Brent through 100 iterations of f(NaN).
+        let mut calls = 0;
+        let res = brent_expanding(
+            |x| {
+                calls += 1;
+                if x < 100.0 {
+                    f64::NAN
+                } else {
+                    x - 50.0
+                }
+            },
+            2000.0,
+            1500.0,
+            60.0,
+            90_000.0,
+            1e-4,
+            60,
+        );
+        assert_eq!(res, Err(RootError::NonFinite { x: 60.0 }));
+        assert_eq!(calls, 3, "probes 500, 3500, then the 60 floor");
+        // Inside the Brent iteration: the first secant step lands on the
+        // NaN region around the root.
+        let nan_hole = |x: f64| {
+            if (0.2..0.4).contains(&x) {
+                f64::NAN
+            } else {
+                x - 0.3
+            }
+        };
+        let res = brent(nan_hole, 0.0, 1.0, 1e-12);
+        assert!(
+            matches!(res, Err(RootError::NonFinite { x }) if (0.2..0.4).contains(&x)),
+            "{res:?}"
+        );
+        // An infinite endpoint is rejected too.
+        let res = brent(
+            |x| if x > 0.0 { f64::INFINITY } else { x },
+            -1.0,
+            1.0,
+            1e-12,
+        );
+        assert_eq!(res, Err(RootError::NonFinite { x: 1.0 }));
     }
 
     #[test]
