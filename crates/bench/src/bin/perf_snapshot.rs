@@ -3,7 +3,8 @@
 //! Runs a fixed suite of the kernels the figure binaries spend their time
 //! in — tridiagonal and block-tridiagonal sweeps, damped-Newton solves,
 //! stiff chemistry integration, the Fig. 7 relaxation march
-//! (`relaxation_march`), direct equilibrium-composition solves,
+//! (`relaxation_march`), direct equilibrium-composition solves, the Titan
+//! shock layer's equilibrium inversions (`equilibrium_inversion`),
 //! spectrum integration, Euler blunt-body steps, the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
 //! partitioning, shard-store federation) — and writes every span label's
@@ -36,11 +37,13 @@ use aerothermo_core::surrogate::{
     fly_heating_history, ExactResponse, RadiativeModel, SurrogateBuilder, SurrogateQuery,
 };
 use aerothermo_gas::eq_table::air9_table;
-use aerothermo_gas::equilibrium::air9_equilibrium;
+use aerothermo_gas::equilibrium::{air9_equilibrium, reset_thread_warm_cache, titan_equilibrium};
 use aerothermo_gas::kinetics::park_air9;
 use aerothermo_gas::relaxation::RelaxationModel;
+use aerothermo_gas::GasModel;
 use aerothermo_grid::bodies::Hemisphere;
 use aerothermo_grid::{stretch, StructuredGrid};
+use aerothermo_numerics::constants::R_UNIVERSAL;
 use aerothermo_numerics::newton::{newton_solve, NewtonOptions};
 use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
 use aerothermo_numerics::telemetry::CounterSnapshot;
@@ -50,6 +53,7 @@ use aerothermo_radiation::spectra::spectrum;
 use aerothermo_radiation::GasSample;
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
+use aerothermo_solvers::shock::normal_shock;
 use aerothermo_solvers::shock1d::{solve as relax_solve, RelaxationProblem};
 use aerothermo_sweep::shard::{federate, partition};
 use aerothermo_sweep::spec::{FlowSpec, GasSpec, LevelSpec};
@@ -291,6 +295,26 @@ fn run_suite() {
             for st in gas.at_trho_batch(&states) {
                 assert!(st.expect("equilibrium batch state").pressure > 0.0);
             }
+        }
+    }
+
+    // The equilibrium inversions of a Titan shock layer (fig02's radiating
+    // anchor): the 165 K freestream energy from (ρ, p) through
+    // `GasModel::energy`, whose bracket reaches the 60 K floor, then one
+    // post-shock (ρ, e) state. Each occurrence starts from an empty warm
+    // cache, as a sweep case does.
+    {
+        let gas = titan_equilibrium(0.05);
+        let rho = 2.9e-6;
+        let m_bar = gas.at_trho(600.0, rho).expect("cold Titan gas").molar_mass;
+        let p = rho * R_UNIVERSAL * 165.0 / m_bar;
+        let jump = normal_shock(&gas, rho, p, 10_000.0).expect("Titan normal shock");
+        for _ in 0..10 {
+            reset_thread_warm_cache();
+            let _sp = trace::span("equilibrium_inversion");
+            assert!(gas.energy(rho, p).is_finite());
+            let st = gas.at_rho_e(jump.rho, jump.e).expect("post-shock state");
+            assert!(st.temperature > 5000.0);
         }
     }
 
