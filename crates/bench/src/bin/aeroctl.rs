@@ -31,6 +31,7 @@
 
 use std::time::Duration;
 
+use aerothermo_numerics::json::Put;
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_service::Client;
 use aerothermo_sweep::SweepPlan;
@@ -245,10 +246,11 @@ fn main() {
                 .unwrap_or_else(|e| die(&e));
             if json {
                 // Structured object: re-print the raw response member.
-                println!(
-                    "{}",
-                    v.get("metrics").map_or_else(String::new, render_value)
-                );
+                let mut text = String::new();
+                if let Some(m) = v.get("metrics") {
+                    m.put(&mut text);
+                }
+                println!("{text}");
             } else {
                 print!(
                     "{}",
@@ -335,27 +337,5 @@ fn print_queries<'a>(items: impl Iterator<Item = &'a aerothermo_numerics::json::
             f("q_rad"),
             if exact { "exact" } else { "surrogate" },
         );
-    }
-}
-
-/// Minimal JSON re-serializer for the structured metrics member.
-fn render_value(v: &aerothermo_numerics::json::Value) -> String {
-    use aerothermo_numerics::json::{write_f64, write_string, Value};
-    match v {
-        Value::Null => "null".into(),
-        Value::Bool(b) => b.to_string(),
-        Value::Number(x) => write_f64(*x),
-        Value::String(s) => write_string(s),
-        Value::Array(xs) => format!(
-            "[{}]",
-            xs.iter().map(render_value).collect::<Vec<_>>().join(", ")
-        ),
-        Value::Object(map) => format!(
-            "{{{}}}",
-            map.iter()
-                .map(|(k, x)| format!("{}: {}", write_string(k), render_value(x)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
     }
 }

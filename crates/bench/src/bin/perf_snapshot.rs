@@ -31,7 +31,7 @@
 
 use aerothermo_atmosphere::trajectory::{EntryConditions, StopConditions, Vehicle};
 use aerothermo_atmosphere::us76::Us76;
-use aerothermo_bench::json::{self, Value};
+use aerothermo_bench::json::{self, Layout, Value};
 use aerothermo_core::correlations::HeatingModel;
 use aerothermo_core::surrogate::{
     fly_heating_history, ExactResponse, RadiativeModel, SurrogateBuilder, SurrogateQuery,
@@ -85,7 +85,7 @@ fn main() {
     run_suite();
 
     let stats = trace::stats();
-    let counters = CounterSnapshot::take();
+    let counters: Vec<_> = CounterSnapshot::take().iter().collect();
     let min_of = |label: &str| {
         stats
             .iter()
@@ -97,36 +97,26 @@ fn main() {
     // comparator uses the same estimator for every span.
     let calib = min_of("calibration");
 
+    let unix_time_secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let num_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut s = String::with_capacity(4096);
-    s.push_str("{\n  \"schema\": 2,\n");
-    s.push_str(&format!("  \"label\": \"{label}\",\n"));
-    s.push_str(&format!(
-        "  \"unix_time_secs\": {},\n",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs())
-    ));
-    s.push_str(&format!(
-        "  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"num_cpus\": {}, \
-         \"rayon_threads\": {}, \"simd\": \"{}\"}},\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        rayon::current_num_threads(),
-        aerothermo_numerics::simd::BACKEND
-    ));
-    s.push_str(&format!("  \"calibration_ns\": {calib},\n"));
-    s.push_str("  \"spans\": ");
-    trace::write_timings(&mut s, &stats);
-    s.push_str(",\n");
-    s.push_str("  \"counters\": {");
-    for (k, (name, v)) in counters.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    \"{name}\": {v}"));
-    }
-    s.push_str("\n  }\n}\n");
+    json::push_object(&mut s, Layout::Block, |o| {
+        o.put("schema", 2u32).put("label", &label);
+        o.put("unix_time_secs", unix_time_secs);
+        o.object("machine", Layout::Inline, |m| {
+            m.put("os", std::env::consts::OS);
+            m.put("arch", std::env::consts::ARCH)
+                .put("num_cpus", num_cpus);
+            m.put("rayon_threads", rayon::current_num_threads());
+            m.put("simd", aerothermo_numerics::simd::BACKEND);
+        });
+        o.put("calibration_ns", calib);
+        o.object("spans", Layout::Inline, |t| trace::write_timings(t, &stats));
+        o.object("counters", Layout::Block, |c| c.members(&counters));
+    });
+    s.push('\n');
 
     std::fs::write(&out, s).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("perf snapshot '{label}' written to {out}");

@@ -248,8 +248,8 @@ fn main() {
     );
 
     if let Some(path) = cli::report_path() {
-        report.write(&path).unwrap_or_else(|e| {
-            eprintln!("sweep: {e}");
+        std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
+            eprintln!("sweep: writing sweep report '{path}': {e}");
             std::process::exit(2);
         });
         eprintln!("# aggregate report written to {path}");

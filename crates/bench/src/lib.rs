@@ -18,8 +18,8 @@
 )]
 
 use aerothermo_core::tables::Table;
-use aerothermo_numerics::json::{write_f64 as json_f64, write_string};
-use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity, CounterSnapshot, RunTelemetry};
+use aerothermo_numerics::report::RunReport;
+use aerothermo_numerics::telemetry::{CounterSnapshot, RunTelemetry};
 use aerothermo_numerics::trace;
 use std::time::Instant;
 
@@ -30,12 +30,6 @@ pub use cli::{
     audit_cadence, checkpoint_every, checkpoint_file, halt_after, inject_nan_at, max_retries,
     output_mode, report_path, restart_path, trace_path, OutputMode,
 };
-
-/// JSON string literal with minimal escaping (the numerics writer, by its
-/// historical local name).
-fn json_string(s: &str) -> String {
-    write_string(s)
-}
 
 /// Exit code for a deliberate `--halt-after` stop, distinguishable from
 /// success (0) and panics (101) so CI can assert the drill actually halted.
@@ -79,14 +73,10 @@ pub fn run_options(
 /// writes them as JSON when `--report[=PATH]` was passed (CI parses and
 /// gates on this file).
 pub struct Report {
-    figure: String,
     started: Instant,
     counters_at_start: CounterSnapshot,
-    checks: Vec<(String, bool, String)>,
-    metrics: Vec<(String, f64)>,
-    phases: Vec<(String, f64)>,
-    histories: Vec<(String, Vec<f64>)>,
-    audits: Vec<(String, AuditFinding)>,
+    /// All but the wall time, counters and timings `to_json` reads.
+    body: RunReport,
 }
 
 impl Report {
@@ -104,41 +94,42 @@ impl Report {
             aerothermo_solvers::audit::enable(every);
         }
         Self {
-            figure: figure.to_string(),
             started: Instant::now(),
             counters_at_start: CounterSnapshot::take(),
-            checks: Vec::new(),
-            metrics: Vec::new(),
-            phases: Vec::new(),
-            histories: Vec::new(),
-            audits: Vec::new(),
+            body: RunReport {
+                figure: figure.to_string(),
+                ..RunReport::default()
+            },
         }
     }
 
     /// Record a qualitative check; returns `passed` so the caller can keep
     /// its hard `assert!(report.check(..))` behavior.
     pub fn check(&mut self, name: &str, passed: bool, detail: impl Into<String>) -> bool {
-        self.checks.push((name.to_string(), passed, detail.into()));
+        self.body
+            .checks
+            .push((name.to_string(), passed, detail.into()));
         passed
     }
 
     /// Record a named scalar metric.
     pub fn metric(&mut self, name: &str, value: f64) {
-        self.metrics.push((name.to_string(), value));
+        self.body.metrics.push((name.to_string(), value));
     }
 
     /// Fold a solver's [`RunTelemetry`] into the report: its phases and
     /// residual histories, prefixed with `label`.
     pub fn absorb_telemetry(&mut self, label: &str, telemetry: &RunTelemetry) {
         for (name, secs) in telemetry.phases() {
-            self.phases.push((format!("{label}.{name}"), *secs));
+            self.body.phases.push((format!("{label}.{name}"), *secs));
         }
         for (name, hist) in telemetry.histories() {
-            self.histories
+            self.body
+                .histories
                 .push((format!("{label}.{name}"), hist.clone()));
         }
         for finding in telemetry.audits() {
-            self.audits.push((label.to_string(), finding.clone()));
+            self.body.audits.push((label.to_string(), finding.clone()));
         }
     }
 
@@ -161,145 +152,41 @@ impl Report {
         );
     }
 
-    /// Number of absorbed audit findings at [`AuditSeverity::Fail`].
+    /// Absorbed audit findings counted as pass, warn and fail.
+    fn audit_counts(&self) -> [usize; 3] {
+        let mut n = [0; 3];
+        for (_, f) in &self.body.audits {
+            n[f.severity as usize] += 1;
+        }
+        n
+    }
+
+    /// Number of absorbed audit findings at `Fail` severity.
     #[must_use]
     pub fn hard_audit_failures(&self) -> usize {
-        self.audits
-            .iter()
-            .filter(|(_, f)| f.severity == AuditSeverity::Fail)
-            .count()
+        self.audit_counts()[2]
     }
 
     /// True when every recorded check passed and no absorbed audit finding
-    /// reached [`AuditSeverity::Fail`].
+    /// reached `Fail` severity.
     #[must_use]
     pub fn all_green(&self) -> bool {
-        self.checks.iter().all(|(_, ok, _)| *ok) && self.hard_audit_failures() == 0
+        self.body.checks.iter().all(|(_, ok, _)| *ok) && self.hard_audit_failures() == 0
     }
 
     /// Serialize to JSON (counters are deltas since the report started).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"figure\": {},\n", json_string(&self.figure)));
-        s.push_str(&format!(
-            "  \"elapsed_secs\": {},\n",
-            json_f64(self.started.elapsed().as_secs_f64())
-        ));
-        s.push_str(&format!("  \"all_green\": {},\n", self.all_green()));
-        s.push_str("  \"checks\": [");
-        for (k, (name, ok, detail)) in self.checks.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"name\": {}, \"passed\": {}, \"detail\": {}}}",
-                json_string(name),
-                ok,
-                json_string(detail)
-            ));
-        }
-        s.push_str("\n  ],\n");
         let counters = CounterSnapshot::take().delta_since(&self.counters_at_start);
-        s.push_str("  \"counters\": {");
-        for (k, (name, v)) in counters.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {v}", json_string(name)));
+        RunReport {
+            elapsed_secs: self.started.elapsed().as_secs_f64(),
+            all_green: self.all_green(),
+            counters: counters.iter().collect(),
+            timings: trace::stats(),
+            audit_summary: self.audit_counts(),
+            ..self.body.clone()
         }
-        s.push_str("\n  },\n");
-        s.push_str("  \"metrics\": {");
-        for (k, (name, v)) in self.metrics.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {}", json_string(name), json_f64(*v)));
-        }
-        s.push_str("\n  },\n");
-        // Exact per-span timings over every thread (durations in ns).
-        s.push_str("  \"timings\": ");
-        trace::write_timings(&mut s, &trace::stats());
-        s.push_str(",\n");
-        s.push_str("  \"phases\": {");
-        for (k, (name, v)) in self.phases.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {}", json_string(name), json_f64(*v)));
-        }
-        s.push_str("\n  },\n");
-        s.push_str("  \"histories\": {");
-        for (k, (name, hist)) in self.histories.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: [", json_string(name)));
-            for (m, v) in hist.iter().enumerate() {
-                if m > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&json_f64(*v));
-            }
-            s.push(']');
-        }
-        s.push_str("\n  },\n");
-        // Per-history roll-up: `best` is the smallest finite value and is
-        // JSON null for histories that never recorded a finite residual —
-        // consumers must treat null as "no data", not as zero.
-        s.push_str("  \"history_summaries\": {");
-        for (k, (name, hist)) in self.histories.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            let best = hist
-                .iter()
-                .copied()
-                .filter(|v| v.is_finite())
-                .fold(f64::INFINITY, f64::min);
-            let best = if best.is_finite() { best } else { f64::NAN };
-            let last = hist.last().copied().unwrap_or(f64::NAN);
-            s.push_str(&format!(
-                "\n    {}: {{\"len\": {}, \"best\": {}, \"last\": {}}}",
-                json_string(name),
-                hist.len(),
-                json_f64(best),
-                json_f64(last)
-            ));
-        }
-        s.push_str("\n  },\n");
-        s.push_str("  \"audits\": [");
-        for (k, (label, f)) in self.audits.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"solver\": {}, \"audit\": {}, \"severity\": {}, \
-                 \"value\": {}, \"threshold\": {}, \"step\": {}, \"detail\": {}}}",
-                json_string(label),
-                json_string(f.audit),
-                json_string(f.severity.name()),
-                json_f64(f.value),
-                json_f64(f.threshold),
-                f.step,
-                json_string(&f.detail)
-            ));
-        }
-        s.push_str("\n  ],\n");
-        let count = |sev: AuditSeverity| {
-            self.audits
-                .iter()
-                .filter(|(_, f)| f.severity == sev)
-                .count()
-        };
-        s.push_str(&format!(
-            "  \"audit_summary\": {{\"pass\": {}, \"warn\": {}, \"fail\": {}}}\n}}\n",
-            count(AuditSeverity::Pass),
-            count(AuditSeverity::Warn),
-            count(AuditSeverity::Fail)
-        ));
-        s
+        .to_json()
     }
 
     /// Write the JSON report when `--report[=PATH]` was passed and the
@@ -414,7 +301,8 @@ mod tests {
         r.metric("bad", f64::NAN);
         assert!(r.check("positive", true, "peak = 1.5e6"));
         assert!(!r.check("quoted \"name\"", false, "line\nbreak"));
-        r.histories
+        r.body
+            .histories
             .push(("res".to_string(), vec![1.0, 0.5, f64::INFINITY]));
         trace::spanned("report_test_kernel", || std::hint::black_box(1));
         let json = r.to_json();
@@ -462,7 +350,7 @@ mod tests {
 
     #[test]
     fn report_surfaces_audit_findings() {
-        use aerothermo_numerics::telemetry::AuditSeverity;
+        use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity};
         let mut r = Report::new("test_fig");
         let mut t = RunTelemetry::new();
         t.record_audit(AuditFinding {

@@ -18,6 +18,8 @@
 //!   bitwise-identical semantics either way),
 //! * [`shortest`] — shortest round-trip decimal digits of an `f64` (Ryū),
 //!   the digit kernel behind [`json::push_f64`],
+//! * [`json`] — the JSON parser and the one writer of every artifact,
+//! * [`report`] — the `--report` document of figure binaries and sweeps,
 //! * [`constants`] — physical constants in SI units,
 //! * [`telemetry`] — solver observability: kernel counter names, phase
 //!   timers, residual monitors with divergence detection, physics-audit
@@ -48,6 +50,7 @@ pub mod linalg;
 pub mod newton;
 pub mod ode;
 pub mod quadrature;
+pub mod report;
 pub mod roots;
 pub mod shortest;
 pub mod simd;

@@ -23,6 +23,7 @@
 //! merged statistics are independent of thread count and merge order;
 //! quantiles come from fixed bucket bounds, never interpolation.
 
+use crate::json::{self, Layout, Raw};
 use crate::telemetry::counters::{Counter, N_COUNTERS};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -179,30 +180,23 @@ pub struct SpanStats {
     pub hist: Histogram,
 }
 
-/// Append `{"label": entry, ...}` for `stats`, each entry holding `calls`,
-/// `p50_ns`, `p90_ns`, `p99_ns`, `min_ns`, `max_ns`, `mean_ns` and the
-/// exact `total_ns` — the `timings` section of every report, the `spans`
-/// section of a perf snapshot and the daemon's `metrics` timings.
-pub fn write_timings(out: &mut String, stats: &[SpanStats]) {
-    out.push('{');
-    for (k, st) in stats.iter().enumerate() {
+/// Write one `label: entry` member per span into `o`, each entry holding
+/// `calls`, `p50_ns`, `p90_ns`, `p99_ns`, `min_ns`, `max_ns`, `mean_ns`
+/// and the exact `total_ns` — the `timings` section of every report, the
+/// `spans` section of a perf snapshot and the daemon's `metrics` timings.
+pub fn write_timings(o: &mut json::Object<'_>, stats: &[SpanStats]) {
+    for st in stats {
         let h = &st.hist;
-        out.push_str(&format!(
-            "{}{}: {{\"calls\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \
-             \"min_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}, \"total_ns\": {}}}",
-            if k > 0 { ", " } else { "" },
-            crate::json::write_string(st.label),
-            h.count,
-            h.quantile_ns(0.50),
-            h.quantile_ns(0.90),
-            h.quantile_ns(0.99),
-            if h.count == 0 { 0 } else { h.min_ns },
-            h.max_ns,
-            h.mean_ns(),
-            h.sum_ns
-        ));
+        o.object(st.label, Layout::Inline, |e| {
+            e.put("calls", h.count);
+            for (key, q) in [("p50_ns", 0.50), ("p90_ns", 0.90), ("p99_ns", 0.99)] {
+                e.put(key, h.quantile_ns(q));
+            }
+            e.put("min_ns", if h.count == 0 { 0 } else { h.min_ns });
+            e.put("max_ns", h.max_ns).put("mean_ns", h.mean_ns());
+            e.put("total_ns", h.sum_ns);
+        });
     }
-    out.push('}');
 }
 
 fn merge_stats(into: &mut Vec<SpanStats>, from: &[SpanStats]) {
@@ -450,24 +444,33 @@ pub fn reset_all() {
 }
 
 fn chrome_document<'a>(parts: impl IntoIterator<Item = &'a [SpanEvent]>) -> String {
-    let mut s = String::with_capacity(1 << 16);
-    s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    s.push_str(
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-         \"args\": {\"name\": \"aerothermo\"}}",
-    );
+    // One event per line, unindented: the metadata event first, so every
+    // span event follows a separator.
+    let mut events = String::with_capacity(1 << 16);
+    events.push_str("[\n");
+    json::push_object(&mut events, Layout::Inline, |o| {
+        o.put("name", "process_name").put("ph", "M");
+        o.put("pid", 1u32).put("tid", 0u32);
+        o.object("args", Layout::Inline, |a| {
+            a.put("name", "aerothermo");
+        });
+    });
     for e in parts.into_iter().flatten() {
-        // Label strings are static identifiers (no quotes/escapes).
-        s.push_str(&format!(
-            ",\n{{\"name\": \"{}\", \"cat\": \"aerothermo\", \"ph\": \"X\", \
-             \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            e.label,
-            e.start_ns as f64 / 1e3,
-            e.dur_ns as f64 / 1e3,
-            e.tid
-        ));
+        events.push_str(",\n");
+        json::push_object(&mut events, Layout::Inline, |o| {
+            o.put("name", e.label).put("cat", "aerothermo");
+            o.put("ph", "X");
+            o.put("ts", Raw(&format!("{:.3}", e.start_ns as f64 / 1e3)));
+            o.put("dur", Raw(&format!("{:.3}", e.dur_ns as f64 / 1e3)));
+            o.put("pid", 1u32).put("tid", e.tid);
+        });
     }
-    s.push_str("\n]}\n");
+    events.push_str("\n]");
+    let mut s = json::write_object(Layout::Inline, |o| {
+        o.put("displayTimeUnit", "ms");
+        o.put("traceEvents", Raw(&events));
+    });
+    s.push('\n');
     s
 }
 
@@ -575,26 +578,14 @@ impl MetricsSnapshot {
     /// bitwise-compared payloads.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1 << 12);
-        s.push_str("{\"timings\": ");
-        write_timings(&mut s, &self.timings);
-        s.push_str(", \"gauges\": {");
-        for (k, (name, v)) in self.gauges.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {}", crate::json::write_f64(*v)));
-        }
-        s.push_str("}, \"counters\": {");
-        let nonzero = self.counters.iter().filter(|(_, v)| *v != 0);
-        for (k, (name, v)) in nonzero.enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {v}"));
-        }
-        s.push_str("}}");
-        s
+        json::write_object(Layout::Inline, |o| {
+            o.object("timings", Layout::Inline, |t| {
+                write_timings(t, &self.timings)
+            });
+            o.object("gauges", Layout::Inline, |g| g.members(&self.gauges));
+            let nonzero = self.counters.iter().filter(|(_, v)| *v != 0);
+            o.object("counters", Layout::Inline, |c| c.members(nonzero));
+        })
     }
 
     /// Prometheus-style text exposition (durations in seconds, cumulative

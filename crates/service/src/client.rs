@@ -5,7 +5,7 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use aerothermo_numerics::json::{self, push_f64, write_string, Value};
+use aerothermo_numerics::json::{self, push_f64, Layout, Object, Raw, Value};
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_sweep::SweepPlan;
 
@@ -92,12 +92,19 @@ impl Client {
         }
     }
 
+    /// Send the request `{"op": op, ...}` with the members `body` writes.
+    fn request(&mut self, op: &str, body: impl FnOnce(&mut Object)) -> Result<Value, SolverError> {
+        self.req.clear();
+        json::push_object(&mut self.req, Layout::Inline, |o| body(o.put("op", op)));
+        self.send()
+    }
+
     /// Liveness check.
     ///
     /// # Errors
     /// Transport or protocol failures.
     pub fn ping(&mut self) -> Result<(), SolverError> {
-        self.call("{\"op\": \"ping\"}").map(|_| ())
+        self.request("ping", |_| {}).map(|_| ())
     }
 
     /// Submit `plan`, returning the assigned job id. `workers` and
@@ -111,23 +118,7 @@ impl Client {
         workers: Option<usize>,
         halt_after: Option<usize>,
     ) -> Result<String, SolverError> {
-        // The plan serializer is multi-line for on-disk readability;
-        // collapse it for the line protocol (embedded string newlines
-        // are escaped by the serializer, so this is purely structural).
-        let plan_json = plan.to_json().replace('\n', " ");
-        let mut req = String::from("{\"op\": \"submit\"");
-        if let Some(w) = workers {
-            req.push_str(&format!(", \"workers\": {w}"));
-        }
-        if let Some(k) = halt_after {
-            req.push_str(&format!(", \"halt_after\": {k}"));
-        }
-        req.push_str(&format!(", \"plan\": {plan_json}}}"));
-        let v = self.call(&req)?;
-        v.get("job")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| SolverError::BadInput("submit response missing 'job'".into()))
+        self.submit_plan(plan, None, workers, halt_after)
     }
 
     /// Submit one shard of `plan` (`shard` is the `i/n` slice string;
@@ -144,26 +135,39 @@ impl Client {
         workers: Option<usize>,
         halt_after: Option<usize>,
     ) -> Result<String, SolverError> {
+        self.submit_plan(plan, Some((shard, strategy)), workers, halt_after)
+    }
+
+    /// The request of `submit`, or of `submit_shard` when `shard` holds
+    /// the slice and strategy.
+    fn submit_plan(
+        &mut self,
+        plan: &SweepPlan,
+        shard: Option<(&str, Option<&str>)>,
+        workers: Option<usize>,
+        halt_after: Option<usize>,
+    ) -> Result<String, SolverError> {
+        let op = if shard.is_some() {
+            "submit_shard"
+        } else {
+            "submit"
+        };
+        // The plan serializer is multi-line for on-disk readability;
+        // collapse it for the line protocol (embedded string newlines
+        // are escaped by the serializer, so this is purely structural).
         let plan_json = plan.to_json().replace('\n', " ");
-        let mut req = format!(
-            "{{\"op\": \"submit_shard\", \"shard\": {}",
-            write_string(shard)
-        );
-        if let Some(s) = strategy {
-            req.push_str(&format!(", \"strategy\": {}", write_string(s)));
-        }
-        if let Some(w) = workers {
-            req.push_str(&format!(", \"workers\": {w}"));
-        }
-        if let Some(k) = halt_after {
-            req.push_str(&format!(", \"halt_after\": {k}"));
-        }
-        req.push_str(&format!(", \"plan\": {plan_json}}}"));
-        let v = self.call(&req)?;
+        let v = self.request(op, |o| {
+            if let Some((shard, strategy)) = shard {
+                o.put("shard", shard).put_some("strategy", strategy);
+            }
+            o.put_some("workers", workers);
+            o.put_some("halt_after", halt_after);
+            o.put("plan", Raw(&plan_json));
+        })?;
         v.get("job")
             .and_then(Value::as_str)
             .map(str::to_string)
-            .ok_or_else(|| SolverError::BadInput("submit_shard response missing 'job'".into()))
+            .ok_or_else(|| SolverError::BadInput(format!("{op} response missing 'job'")))
     }
 
     /// Federate the stores of finished shard `jobs` into the canonical
@@ -174,12 +178,9 @@ impl Client {
     /// Unknown/running/mismatched jobs, conflicting overlaps, transport
     /// failures.
     pub fn federate(&mut self, jobs: &[String]) -> Result<Value, SolverError> {
-        let ids = jobs
-            .iter()
-            .map(|j| write_string(j))
-            .collect::<Vec<_>>()
-            .join(", ");
-        self.call(&format!("{{\"op\": \"federate\", \"jobs\": [{ids}]}}"))
+        self.request("federate", |o| {
+            o.put("jobs", jobs);
+        })
     }
 
     /// Poll the status object for `job`.
@@ -187,10 +188,9 @@ impl Client {
     /// # Errors
     /// Unknown jobs and transport failures.
     pub fn status(&mut self, job: &str) -> Result<Value, SolverError> {
-        self.call(&format!(
-            "{{\"op\": \"status\", \"job\": {}}}",
-            write_string(job)
-        ))
+        self.request("status", |o| {
+            o.put("job", job);
+        })
     }
 
     /// Poll `status` until the phase leaves `running`, returning the
@@ -244,10 +244,9 @@ impl Client {
     /// # Errors
     /// Unknown jobs and transport failures.
     pub fn results(&mut self, job: &str) -> Result<Value, SolverError> {
-        self.call(&format!(
-            "{{\"op\": \"results\", \"job\": {}}}",
-            write_string(job)
-        ))
+        self.request("results", |o| {
+            o.put("job", job);
+        })
     }
 
     /// Raise the cooperative cancel flag on `job`.
@@ -255,10 +254,9 @@ impl Client {
     /// # Errors
     /// Unknown jobs and transport failures.
     pub fn cancel(&mut self, job: &str) -> Result<Value, SolverError> {
-        self.call(&format!(
-            "{{\"op\": \"cancel\", \"job\": {}}}",
-            write_string(job)
-        ))
+        self.request("cancel", |o| {
+            o.put("job", job);
+        })
     }
 
     /// Resume an interrupted/halted/cancelled job through the store's
@@ -267,12 +265,9 @@ impl Client {
     /// # Errors
     /// Unknown or still-running jobs, and transport failures.
     pub fn resume(&mut self, job: &str, workers: Option<usize>) -> Result<Value, SolverError> {
-        let mut req = format!("{{\"op\": \"resume\", \"job\": {}", write_string(job));
-        if let Some(w) = workers {
-            req.push_str(&format!(", \"workers\": {w}"));
-        }
-        req.push('}');
-        self.call(&req)
+        self.request("resume", |o| {
+            o.put("job", job).put_some("workers", workers);
+        })
     }
 
     /// One stagnation-heating query at `(altitude [m], velocity [m/s])`.
@@ -315,10 +310,9 @@ impl Client {
     /// # Errors
     /// Unknown formats and transport failures.
     pub fn metrics(&mut self, format: &str) -> Result<Value, SolverError> {
-        self.call(&format!(
-            "{{\"op\": \"metrics\", \"format\": {}}}",
-            write_string(format),
-        ))
+        self.request("metrics", |o| {
+            o.put("format", format);
+        })
     }
 
     /// Ask the daemon to stop accepting and exit.
@@ -326,7 +320,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn shutdown(&mut self) -> Result<(), SolverError> {
-        self.call("{\"op\": \"shutdown\"}").map(|_| ())
+        self.request("shutdown", |_| {}).map(|_| ())
     }
 }
 

@@ -22,7 +22,7 @@ use aerothermo_atmosphere::us76::Us76;
 use aerothermo_core::surrogate::{ExactResponse, RadiativeModel, StagnationResponse};
 use aerothermo_core::{HeatingModel, SurrogateBuilder, SurrogateQuery, SurrogateTable};
 use aerothermo_gas::eq_table::air9_table;
-use aerothermo_numerics::json::{self, push_f64, write_string, Value};
+use aerothermo_numerics::json::{self, push_f64, Layout, Object, Raw, Value};
 use aerothermo_numerics::telemetry::{counters, Counter, SolverError};
 use aerothermo_numerics::trace;
 use aerothermo_sweep::{ShardSpec, ShardStrategy, SweepPlan};
@@ -267,7 +267,15 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
 }
 
 fn err_json(msg: &str) -> String {
-    format!("{{\"ok\": false, \"error\": {}}}", write_string(msg))
+    json::write_object(Layout::Inline, |o| {
+        o.put("ok", false).put("error", msg);
+    })
+}
+
+/// Append a success response: `"ok": true`, then the members `body`
+/// writes.
+fn ok_json(out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
+    json::push_object(out, Layout::Inline, |o| body(o.put("ok", true)));
 }
 
 /// Write exactly one response line (without its newline) for one
@@ -363,22 +371,16 @@ fn req_workers(shared: &Shared, v: &Value) -> Result<usize, SolverError> {
     }
 }
 
-fn status_json(job: &Job) -> String {
-    format!(
-        "{{\"ok\": true, \"job\": {}, \"plan\": {}, \"phase\": {}, \"done\": {}, \
-         \"total\": {}, \"error\": {}, \"store\": {}, \"events\": {}, \"shard\": {}}}",
-        write_string(&job.id),
-        write_string(&job.plan_name),
-        write_string(job.phase().name()),
-        job.done.load(Ordering::SeqCst).min(job.total),
-        job.total,
-        job.error()
-            .map_or_else(|| "null".into(), |e| write_string(&e)),
-        write_string(&job.store_path),
-        write_string(&job.events_path),
-        job.shard
-            .map_or_else(|| "null".into(), |s| write_string(&s.to_string())),
-    )
+fn status_json(out: &mut String, job: &Job) {
+    ok_json(out, |o| {
+        o.put("job", &job.id).put("plan", &job.plan_name);
+        o.put("phase", job.phase().name());
+        o.put("done", job.done.load(Ordering::SeqCst).min(job.total));
+        o.put("total", job.total).put("error", job.error());
+        o.put("store", &job.store_path);
+        o.put("events", &job.events_path);
+        o.put("shard", job.shard.map(|s| s.to_string()));
+    });
 }
 
 /// Append one answered point, `{"altitude": …, …, "exact": …}`.
@@ -488,50 +490,39 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| SolverError::BadInput("request missing string 'op'".into()))?;
-    let resp = match op {
-        "ping" => Ok(format!(
-            "{{\"ok\": true, \"pong\": true, \"pid\": {}, \"jobs\": {}}}",
-            std::process::id(),
-            shared.jobs.list().len(),
-        )),
-        "submit" => {
+    match op {
+        "ping" => ok_json(out, |o| {
+            o.put("pong", true).put("pid", std::process::id());
+            o.put("jobs", shared.jobs.list().len());
+        }),
+        "submit" | "submit_shard" => {
             let plan_v = v
                 .get("plan")
-                .ok_or_else(|| SolverError::BadInput("submit missing object 'plan'".into()))?;
+                .ok_or_else(|| SolverError::BadInput(format!("{op} missing object 'plan'")))?;
             let plan = SweepPlan::from_json(plan_v)?;
-            let workers = req_workers(shared, &v)?;
-            let halt_after = opt_usize(&v, "halt_after")?;
-            let job = shared.jobs.submit(&plan)?;
-            let (id, total) = (job.id.clone(), job.total);
-            spawn_run(job, workers, halt_after);
-            Ok(format!(
-                "{{\"ok\": true, \"job\": {}, \"planned\": {total}}}",
-                write_string(&id),
-            ))
-        }
-        "submit_shard" => {
-            let plan_v = v.get("plan").ok_or_else(|| {
-                SolverError::BadInput("submit_shard missing object 'plan'".into())
-            })?;
-            let plan = SweepPlan::from_json(plan_v)?;
-            let shard_s = v.get("shard").and_then(Value::as_str).ok_or_else(|| {
-                SolverError::BadInput("submit_shard missing string 'shard' (i/n)".into())
-            })?;
-            let strategy = match v.get("strategy").and_then(Value::as_str) {
-                Some(s) => ShardStrategy::parse(s)?,
-                None => ShardStrategy::default(),
+            let spec = if op == "submit_shard" {
+                let shard_s = v.get("shard").and_then(Value::as_str).ok_or_else(|| {
+                    SolverError::BadInput("submit_shard missing string 'shard' (i/n)".into())
+                })?;
+                let strategy = match v.get("strategy").and_then(Value::as_str) {
+                    Some(s) => ShardStrategy::parse(s)?,
+                    None => ShardStrategy::default(),
+                };
+                Some(ShardSpec::parse(shard_s, strategy)?)
+            } else {
+                None
             };
-            let spec = ShardSpec::parse(shard_s, strategy)?;
             let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
-            let job = shared.jobs.submit_shard(&plan, spec)?;
-            let (id, total) = (job.id.clone(), job.total);
+            let job = match spec {
+                Some(spec) => shared.jobs.submit_shard(&plan, spec)?,
+                None => shared.jobs.submit(&plan)?,
+            };
+            ok_json(out, |o| {
+                o.put("job", &job.id).put("planned", job.total);
+                o.put_some("shard", spec.map(|s| s.to_string()));
+            });
             spawn_run(job, workers, halt_after);
-            Ok(format!(
-                "{{\"ok\": true, \"job\": {}, \"planned\": {total}, \"shard\": {}}}",
-                write_string(&id),
-                write_string(&spec.to_string()),
-            ))
         }
         "federate" => {
             let ids: Vec<String> = v
@@ -550,35 +541,33 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             // collapse it for the line protocol (string newlines are
             // escaped by the writer, so this is purely structural).
             let report_json = report.to_json().replace('\n', " ");
-            Ok(format!(
-                "{{\"ok\": true, \"store\": {}, \"report\": {}}}",
-                write_string(&store),
-                report_json.trim(),
-            ))
+            ok_json(out, |o| {
+                o.put("store", &store)
+                    .put("report", Raw(report_json.trim()));
+            });
         }
-        "status" => {
-            let job = req_job(shared, &v)?;
-            Ok(status_json(&job))
-        }
+        "status" => status_json(out, &*req_job(shared, &v)?),
         "results" => {
             let job = req_job(shared, &v)?;
             let doc = std::fs::read_to_string(&job.store_path).unwrap_or_default();
             // A torn trailing line (daemon killed mid-write) is dropped,
             // matching the store loader's crash tolerance.
-            let mut lines: Vec<&str> = doc.lines().filter(|l| !l.trim().is_empty()).collect();
+            let mut lines: Vec<Raw> = doc
+                .lines()
+                .filter(|l| !l.trim().is_empty())
+                .map(Raw)
+                .collect();
             if !doc.ends_with('\n') {
                 lines.pop();
             }
-            Ok(format!(
-                "{{\"ok\": true, \"job\": {}, \"records\": [{}]}}",
-                write_string(&job.id),
-                lines.join(", "),
-            ))
+            ok_json(out, |o| {
+                o.put("job", &job.id).put("records", &lines[..]);
+            });
         }
         "cancel" => {
             let job = req_job(shared, &v)?;
             job.cancel.store(true, Ordering::SeqCst);
-            Ok(status_json(&job))
+            status_json(out, &job);
         }
         "resume" => {
             let id = v
@@ -588,31 +577,29 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
             let job = shared.jobs.resume(id)?;
-            let resp = status_json(&job);
+            status_json(out, &job);
             spawn_run(job, workers, halt_after);
-            Ok(resp)
         }
-        "query" => return query(shared, &v, out),
-        "query_batch" => return query_batch(shared, &v, out),
+        "query" => query(shared, &v, out)?,
+        "query_batch" => query_batch(shared, &v, out)?,
         "metrics" => {
             let format = v
                 .get("format")
                 .and_then(Value::as_str)
                 .unwrap_or("prometheus");
             let snap = trace::snapshot();
-            match format {
-                "prometheus" => Ok(format!(
-                    "{{\"ok\": true, \"format\": \"prometheus\", \"metrics\": {}}}",
-                    write_string(&snap.prometheus_text()),
-                )),
-                "json" => Ok(format!(
-                    "{{\"ok\": true, \"format\": \"json\", \"metrics\": {}}}",
-                    snap.to_json(),
-                )),
-                other => Err(SolverError::BadInput(format!(
-                    "unknown metrics format '{other}' (expected 'prometheus' or 'json')"
-                ))),
-            }
+            let metrics = match format {
+                "prometheus" => json::write_string(&snap.prometheus_text()),
+                "json" => snap.to_json(),
+                other => {
+                    return Err(SolverError::BadInput(format!(
+                        "unknown metrics format '{other}' (expected 'prometheus' or 'json')"
+                    )))
+                }
+            };
+            ok_json(out, |o| {
+                o.put("format", format).put("metrics", Raw(&metrics));
+            });
         }
         "shutdown" => {
             shared.stop.store(true, Ordering::SeqCst);
@@ -621,10 +608,11 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             for _ in 0..shared.cfg.accept_threads.max(1) {
                 UnixStream::connect(&shared.cfg.socket_path).ok();
             }
-            Ok("{\"ok\": true, \"stopping\": true}".into())
+            ok_json(out, |o| {
+                o.put("stopping", true);
+            });
         }
-        other => Err(SolverError::BadInput(format!("unknown op '{other}'"))),
-    }?;
-    out.push_str(&resp);
+        other => return Err(SolverError::BadInput(format!("unknown op '{other}'"))),
+    }
     Ok(())
 }

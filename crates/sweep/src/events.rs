@@ -26,7 +26,7 @@
 //! not kill a physics run, so write errors after creation are reported to
 //! stderr once and further writes are skipped.
 
-use aerothermo_numerics::json;
+use aerothermo_numerics::json::{self, Layout, Object};
 use aerothermo_numerics::telemetry::SolverError;
 use std::io::Write;
 use std::sync::Mutex;
@@ -69,16 +69,19 @@ impl EventSink {
         self.t0.elapsed().as_secs_f64()
     }
 
-    /// Emit one event: `body` is the inside of the JSON object after the
-    /// `"seq"` field (e.g. `"\"event\": \"heartbeat\", ..."`).
-    fn emit(&self, body: &str) {
+    /// Emit one event: its `seq` and `event` tag, then the members `body`
+    /// writes.
+    fn emit(&self, event: &str, body: impl FnOnce(&mut Object<'_>)) {
         let mut inner = self.inner.lock().unwrap();
         let seq = inner.seq;
         inner.seq += 1;
         let Some(file) = inner.file.as_mut() else {
             return;
         };
-        let line = format!("{{\"seq\": {seq}, {body}}}\n");
+        let mut line = json::write_object(Layout::Inline, |o| {
+            body(o.put("seq", seq).put("event", event))
+        });
+        line.push('\n');
         let res = file.write_all(line.as_bytes()).and_then(|()| file.flush());
         if let Err(e) = res {
             eprintln!("warning: events sink write failed, disabling stream: {e}");
@@ -88,50 +91,42 @@ impl EventSink {
 
     /// The sweep is starting: plan identity and scale.
     pub fn plan_started(&self, plan: &str, cases: usize, workers: usize) {
-        self.emit(&format!(
-            "\"event\": \"plan_started\", \"schema\": \"{SCHEMA}\", \"plan\": {}, \
-             \"cases\": {cases}, \"workers\": {workers}",
-            json::write_string(plan)
-        ));
+        self.emit("plan_started", |o| {
+            o.put("schema", SCHEMA).put("plan", plan);
+            o.put("cases", cases).put("workers", workers);
+        });
     }
 
     /// A worker picked up a case.
     pub fn case_started(&self, id: &str, worker: usize) {
-        self.emit(&format!(
-            "\"event\": \"case_started\", \"id\": {}, \"worker\": {worker}, \"t_secs\": {}",
-            json::write_string(id),
-            json::write_f64(self.elapsed_secs()),
-        ));
+        self.emit("case_started", |o| {
+            o.put("id", id).put("worker", worker);
+            o.put("t_secs", self.elapsed_secs());
+        });
     }
 
     /// A case consumed runctl retries (observable at case completion; one
     /// event summarizing the count, emitted before the terminal event).
     pub fn case_retried(&self, id: &str, retries: usize) {
-        self.emit(&format!(
-            "\"event\": \"case_retried\", \"id\": {}, \"retries\": {retries}",
-            json::write_string(id),
-        ));
+        self.emit("case_retried", |o| {
+            o.put("id", id).put("retries", retries);
+        });
     }
 
     /// A case finished cleanly (`completed`).
     pub fn case_finished(&self, id: &str, status: &str, retries: usize, wall_secs: f64) {
-        self.emit(&format!(
-            "\"event\": \"case_finished\", \"id\": {}, \"status\": \"{status}\", \
-             \"retries\": {retries}, \"wall_secs\": {}",
-            json::write_string(id),
-            json::write_f64(wall_secs),
-        ));
+        self.emit("case_finished", |o| {
+            o.put("id", id).put("status", status);
+            o.put("retries", retries).put("wall_secs", wall_secs);
+        });
     }
 
     /// A case died (`failed` / `timed_out`).
     pub fn case_failed(&self, id: &str, status: &str, error: &str, wall_secs: f64) {
-        self.emit(&format!(
-            "\"event\": \"case_failed\", \"id\": {}, \"status\": \"{status}\", \
-             \"error\": {}, \"wall_secs\": {}",
-            json::write_string(id),
-            json::write_string(error),
-            json::write_f64(wall_secs),
-        ));
+        self.emit("case_failed", |o| {
+            o.put("id", id).put("status", status);
+            o.put("error", error).put("wall_secs", wall_secs);
+        });
     }
 
     /// Periodic progress pulse: worker utilization in `[0, 1]` and a
@@ -157,21 +152,20 @@ impl EventSink {
         done_wall_secs: f64,
     ) {
         let t = self.elapsed_secs();
+        // NaN (written as null) until there is a mean to scale.
         let eta = if done > 0 && total >= done && done_wall_secs.is_finite() {
             let mean_case_secs = done_wall_secs.max(0.0) / done as f64;
             let active = busy.clamp(1, workers.max(1)) as f64;
-            json::write_f64(mean_case_secs * (total - done) as f64 / active)
+            mean_case_secs * (total - done) as f64 / active
         } else {
-            "null".to_string()
+            f64::NAN
         };
         let utilization = (busy as f64 / workers.max(1) as f64).clamp(0.0, 1.0);
-        self.emit(&format!(
-            "\"event\": \"heartbeat\", \"t_secs\": {}, \"busy\": {busy}, \
-             \"workers\": {workers}, \"done\": {done}, \"total\": {total}, \
-             \"utilization\": {}, \"eta_secs\": {eta}",
-            json::write_f64(t),
-            json::write_f64(utilization),
-        ));
+        self.emit("heartbeat", |o| {
+            o.put("t_secs", t).put("busy", busy).put("workers", workers);
+            o.put("done", done).put("total", total);
+            o.put("utilization", utilization).put("eta_secs", eta);
+        });
     }
 
     /// Terminal summary line.
@@ -185,12 +179,11 @@ impl EventSink {
         halted: bool,
         elapsed_secs: f64,
     ) {
-        self.emit(&format!(
-            "\"event\": \"plan_finished\", \"completed\": {completed}, \"failed\": {failed}, \
-             \"timed_out\": {timed_out}, \"resumed\": {resumed}, \"halted\": {halted}, \
-             \"elapsed_secs\": {}",
-            json::write_f64(elapsed_secs),
-        ));
+        self.emit("plan_finished", |o| {
+            o.put("completed", completed).put("failed", failed);
+            o.put("timed_out", timed_out).put("resumed", resumed);
+            o.put("halted", halted).put("elapsed_secs", elapsed_secs);
+        });
     }
 }
 
@@ -234,51 +227,32 @@ pub fn normalize(stream: &str) -> Result<String, SolverError> {
         if event == "heartbeat" {
             continue;
         }
-        let id = v
-            .get("id")
-            .and_then(|i| i.as_str())
-            .unwrap_or("")
-            .to_string();
-        let get_str = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
-        let get_u = |k: &str| v.get(k).and_then(|x| x.as_f64()).map(|f| f as u64);
-        let canon = match event.as_str() {
-            "plan_started" => format!(
-                "{{\"event\": \"plan_started\", \"plan\": {}, \"cases\": {}}}",
-                json::write_string(&get_str("plan").unwrap_or_default()),
-                get_u("cases").unwrap_or(0),
-            ),
-            "case_started" => format!(
-                "{{\"event\": \"case_started\", \"id\": {}}}",
-                json::write_string(&id)
-            ),
-            "case_retried" => format!(
-                "{{\"event\": \"case_retried\", \"id\": {}, \"retries\": {}}}",
-                json::write_string(&id),
-                get_u("retries").unwrap_or(0),
-            ),
-            "case_finished" => format!(
-                "{{\"event\": \"case_finished\", \"id\": {}, \"status\": {}, \"retries\": {}}}",
-                json::write_string(&id),
-                json::write_string(&get_str("status").unwrap_or_default()),
-                get_u("retries").unwrap_or(0),
-            ),
-            "case_failed" => format!(
-                "{{\"event\": \"case_failed\", \"id\": {}, \"status\": {}, \"error\": {}}}",
-                json::write_string(&id),
-                json::write_string(&get_str("status").unwrap_or_default()),
-                json::write_string(&get_str("error").unwrap_or_default()),
-            ),
-            "plan_finished" => format!(
-                "{{\"event\": \"plan_finished\", \"completed\": {}, \"failed\": {}, \
-                 \"timed_out\": {}, \"resumed\": {}, \"halted\": {}}}",
-                get_u("completed").unwrap_or(0),
-                get_u("failed").unwrap_or(0),
-                get_u("timed_out").unwrap_or(0),
-                get_u("resumed").unwrap_or(0),
-                matches!(v.get("halted"), Some(json::Value::Bool(true))),
-            ),
-            other => format!("{{\"event\": {}}}", json::write_string(other)),
+        let get_str = |k: &str| v.get(k).and_then(|x| x.as_str()).unwrap_or("");
+        let get_u = |k: &str| v.get(k).and_then(|x| x.as_f64()).map_or(0, |f| f as u64);
+        // The deterministic core of each kind: its string members, then
+        // its count members.
+        let (strings, counts): (&[&str], &[&str]) = match event.as_str() {
+            "plan_started" => (&["plan"], &["cases"]),
+            "case_started" => (&["id"], &[]),
+            "case_retried" => (&["id"], &["retries"]),
+            "case_finished" => (&["id", "status"], &["retries"]),
+            "case_failed" => (&["id", "status", "error"], &[]),
+            "plan_finished" => (&[], &["completed", "failed", "timed_out", "resumed"]),
+            _ => (&[], &[]),
         };
+        let canon = json::write_object(Layout::Inline, |o| {
+            o.put("event", &event);
+            for k in strings {
+                o.put(k, get_str(k));
+            }
+            for k in counts {
+                o.put(k, get_u(k));
+            }
+            if event == "plan_finished" {
+                o.put("halted", v.get("halted") == Some(&json::Value::Bool(true)));
+            }
+        });
+        let id = get_str("id").to_string();
         keyed.push((rank(&event), id, canon));
     }
     keyed.sort_by(|a, b| {

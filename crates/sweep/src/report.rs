@@ -6,9 +6,9 @@
 //! unchanged.
 
 use crate::store::{CaseOutcome, CaseStatus};
-use aerothermo_numerics::json::{write_f64, write_string};
-use aerothermo_numerics::telemetry::Counter;
-use aerothermo_numerics::trace::{self, SpanStats};
+use aerothermo_numerics::report::RunReport;
+use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity, Counter};
+use aerothermo_numerics::trace::SpanStats;
 use std::collections::HashMap;
 
 /// Exit code for a sweep that finished with failed/timed-out cases under
@@ -120,155 +120,78 @@ impl SweepReport {
 
     /// Serialize to the `--report`-schema JSON document.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn to_json(&self) -> String {
         let c = self.counts();
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"figure\": {},\n", write_string(&self.figure)));
-        s.push_str(&format!(
-            "  \"elapsed_secs\": {},\n",
-            write_f64(self.elapsed_secs)
-        ));
-        s.push_str(&format!("  \"all_green\": {},\n", self.all_green()));
-
+        let n = self.outcomes.len();
         // Checks: the sweep-level gates CI parses.
-        s.push_str("  \"checks\": [");
-        let checks = [
-            (
-                "no_failed_cases",
-                c.failed == 0,
-                format!("{} failed of {} recorded", c.failed, self.outcomes.len()),
-            ),
-            (
-                "no_timed_out_cases",
-                c.timed_out == 0,
-                format!("{} timed out", c.timed_out),
-            ),
-            (
-                "all_cases_recorded",
-                self.outcomes.len() == self.planned,
-                format!(
-                    "{} recorded of {} planned",
-                    self.outcomes.len(),
-                    self.planned
-                ),
-            ),
+        let failed = format!("{} failed of {n} recorded", c.failed);
+        let timed_out = format!("{} timed out", c.timed_out);
+        let recorded = format!("{n} recorded of {} planned", self.planned);
+        let checks = vec![
+            ("no_failed_cases".into(), c.failed == 0, failed),
+            ("no_timed_out_cases".into(), c.timed_out == 0, timed_out),
+            ("all_cases_recorded".into(), n == self.planned, recorded),
         ];
-        for (k, (name, ok, detail)) in checks.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"name\": {}, \"passed\": {ok}, \"detail\": {}}}",
-                write_string(name),
-                write_string(detail)
-            ));
-        }
-        s.push_str("\n  ],\n");
-
-        s.push_str("  \"counters\": {");
-        for (k, (name, v)) in self.summed_counters().iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {v}", write_string(name)));
-        }
-        s.push_str("\n  },\n");
-
         // Metrics: sweep aggregates, then per-case metrics as `<id>.<name>`.
-        s.push_str("  \"metrics\": {");
-        let mut metrics: Vec<(String, f64)> = vec![
-            ("cases_planned".into(), self.planned as f64),
-            ("cases_completed".into(), c.completed as f64),
-            ("cases_failed".into(), c.failed as f64),
-            ("cases_timed_out".into(), c.timed_out as f64),
-            ("cases_resumed".into(), c.resumed as f64),
-            ("workers".into(), self.workers as f64),
-            ("halted".into(), f64::from(u8::from(self.halted))),
-            (
-                "total_retries".into(),
-                self.outcomes.iter().map(|o| o.retries as f64).sum(),
-            ),
-            (
-                "throughput_cases_per_sec".into(),
-                self.throughput_cases_per_sec(),
-            ),
-        ];
+        let retries = self.outcomes.iter().map(|o| o.retries as f64).sum();
+        let mut metrics: Vec<(String, f64)> = [
+            ("cases_planned", self.planned as f64),
+            ("cases_completed", c.completed as f64),
+            ("cases_failed", c.failed as f64),
+            ("cases_timed_out", c.timed_out as f64),
+            ("cases_resumed", c.resumed as f64),
+            ("workers", self.workers as f64),
+            ("halted", f64::from(u8::from(self.halted))),
+            ("total_retries", retries),
+            ("throughput_cases_per_sec", self.throughput_cases_per_sec()),
+        ]
+        .map(|(name, v)| (name.to_string(), v))
+        .to_vec();
         for o in &self.outcomes {
             for (name, v) in &o.metrics {
                 metrics.push((format!("{}.{name}", o.id), *v));
             }
             metrics.push((format!("{}.retries", o.id), o.retries as f64));
         }
-        for (k, (name, v)) in metrics.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {}", write_string(name), write_f64(*v)));
-        }
-        s.push_str("\n  },\n");
-        s.push_str("  \"timings\": ");
-        trace::write_timings(&mut s, &self.timings);
-        s.push_str(",\n");
-
-        // Phases: per-case wall time on its worker (the sweep's analogue of
-        // solver phase timings).
-        s.push_str("  \"phases\": {");
-        for (k, o) in self.outcomes.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {}: {}",
-                write_string(&format!("case.{}", o.id)),
-                write_f64(o.wall_secs)
-            ));
-        }
-        s.push_str("\n  },\n");
-
-        s.push_str("  \"histories\": {\n  },\n");
-        s.push_str("  \"history_summaries\": {\n  },\n");
-
+        // Phases: per-case wall time on its worker (the sweep's analogue
+        // of solver phase timings).
+        let phases: Vec<(String, f64)> = self
+            .outcomes
+            .iter()
+            .map(|o| (format!("case.{}", o.id), o.wall_secs))
+            .collect();
         // Audits: failed/timed-out cases surface as findings so report
         // consumers that only look at audits still see the damage.
-        s.push_str("  \"audits\": [");
-        let mut k = 0;
-        for o in &self.outcomes {
-            if matches!(o.status, CaseStatus::Completed | CaseStatus::Resumed) {
-                continue;
-            }
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"solver\": {}, \"audit\": \"case_outcome\", \"severity\": \"fail\", \
-                 \"value\": 1, \"threshold\": 0, \"step\": 0, \"detail\": {}}}",
-                write_string(&o.id),
-                write_string(o.error.as_deref().unwrap_or(o.status.name()))
-            ));
-            k += 1;
+        let audits: Vec<(String, AuditFinding)> = self
+            .outcomes
+            .iter()
+            .filter(|o| !matches!(o.status, CaseStatus::Completed | CaseStatus::Resumed))
+            .map(|o| {
+                let finding = AuditFinding {
+                    audit: "case_outcome",
+                    severity: AuditSeverity::Fail,
+                    value: 1.0,
+                    threshold: 0.0,
+                    step: 0,
+                    detail: o.error.as_deref().unwrap_or(o.status.name()).to_string(),
+                };
+                (o.id.clone(), finding)
+            })
+            .collect();
+        RunReport {
+            figure: self.figure.clone(),
+            elapsed_secs: self.elapsed_secs,
+            all_green: self.all_green(),
+            checks,
+            counters: self.summed_counters(),
+            metrics,
+            timings: self.timings.clone(),
+            phases,
+            histories: Vec::new(),
+            audits,
+            audit_summary: [c.completed + c.resumed, 0, c.failed + c.timed_out],
         }
-        s.push_str("\n  ],\n");
-        s.push_str(&format!(
-            "  \"audit_summary\": {{\"pass\": {}, \"warn\": 0, \"fail\": {}}}\n}}\n",
-            c.completed + c.resumed,
-            c.failed + c.timed_out
-        ));
-        s
-    }
-
-    /// Write the JSON document to a file.
-    ///
-    /// # Errors
-    /// [`aerothermo_numerics::telemetry::SolverError::BadInput`] on I/O
-    /// failure.
-    pub fn write(&self, path: &str) -> Result<(), aerothermo_numerics::telemetry::SolverError> {
-        std::fs::write(path, self.to_json()).map_err(|e| {
-            aerothermo_numerics::telemetry::SolverError::BadInput(format!(
-                "writing sweep report '{path}': {e}"
-            ))
-        })
+        .to_json()
     }
 }
 

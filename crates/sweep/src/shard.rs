@@ -19,7 +19,7 @@
 
 use crate::plan::SweepPlan;
 use crate::store::{load_store, CaseOutcome, CaseStatus, JsonlWriter, StoreLoad};
-use aerothermo_numerics::json::write_string;
+use aerothermo_numerics::json::{self, Layout};
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_numerics::trace;
 
@@ -124,12 +124,10 @@ impl ShardSpec {
     /// sidecar format).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"index\": {}, \"count\": {}, \"strategy\": {}}}",
-            self.index,
-            self.count,
-            write_string(self.strategy.name())
-        )
+        json::write_object(Layout::Inline, |o| {
+            o.put("index", self.index).put("count", self.count);
+            o.put("strategy", self.strategy.name());
+        })
     }
 
     /// Parse the document written by [`ShardSpec::to_json`].
@@ -298,32 +296,22 @@ impl FederationReport {
     /// Serialize to a JSON document (schema `aerothermo-federation-v1`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let ids = |v: &[String]| {
-            v.iter()
-                .map(|s| write_string(s))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        format!(
-            "{{\n  \"schema\": \"aerothermo-federation-v1\",\n  \
-             \"plan_cases\": {},\n  \"shard_stores\": {},\n  \
-             \"records_read\": {},\n  \"merged\": {},\n  \
-             \"superseded\": {},\n  \"duplicates_deduped\": {},\n  \
-             \"gaps\": [{}],\n  \"unknown_ids\": [{}],\n  \
-             \"torn_tails\": {},\n  \"unknown_counters\": {},\n  \
-             \"complete\": {}\n}}\n",
-            self.plan_cases,
-            self.shard_stores,
-            self.records_read,
-            self.merged,
-            self.superseded,
-            self.duplicates_deduped,
-            ids(&self.gaps),
-            ids(&self.unknown_ids),
-            self.torn_tails,
-            self.unknown_counters,
-            self.complete()
-        )
+        let mut out = json::write_object(Layout::Block, |o| {
+            o.put("schema", "aerothermo-federation-v1");
+            o.put("plan_cases", self.plan_cases);
+            o.put("shard_stores", self.shard_stores);
+            o.put("records_read", self.records_read);
+            o.put("merged", self.merged)
+                .put("superseded", self.superseded);
+            o.put("duplicates_deduped", self.duplicates_deduped);
+            o.put("gaps", &self.gaps[..]);
+            o.put("unknown_ids", &self.unknown_ids[..]);
+            o.put("torn_tails", self.torn_tails);
+            o.put("unknown_counters", self.unknown_counters);
+            o.put("complete", self.complete());
+        });
+        out.push('\n');
+        out
     }
 }
 

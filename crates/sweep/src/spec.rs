@@ -5,7 +5,7 @@ use aerothermo_gas::{
     air11_equilibrium, air5_equilibrium, air9_equilibrium, jupiter_equilibrium, titan_equilibrium,
     EquilibriumGas,
 };
-use aerothermo_numerics::json::{self, write_f64, write_string, Value};
+use aerothermo_numerics::json::{self, Layout, Object, Value};
 use aerothermo_numerics::telemetry::SolverError;
 
 /// Gas model selector.
@@ -62,16 +62,13 @@ impl GasSpec {
         }
     }
 
-    fn to_json(&self) -> String {
+    fn write_json(&self, o: &mut Object<'_>) {
+        o.put("kind", self.name());
         match self {
-            GasSpec::Titan { ch4 } => {
-                format!("{{\"kind\": \"titan\", \"ch4\": {}}}", write_f64(*ch4))
-            }
-            GasSpec::Jupiter { he } => {
-                format!("{{\"kind\": \"jupiter\", \"he\": {}}}", write_f64(*he))
-            }
-            other => format!("{{\"kind\": {}}}", write_string(other.name())),
-        }
+            GasSpec::Titan { ch4 } => o.put("ch4", ch4),
+            GasSpec::Jupiter { he } => o.put("he", he),
+            _ => o,
+        };
     }
 
     fn from_json(v: &Value) -> Result<Self, SolverError> {
@@ -197,49 +194,36 @@ impl LevelSpec {
         }
     }
 
-    fn to_json(&self) -> String {
+    fn write_json(&self, o: &mut Object<'_>) {
+        o.put("kind", self.name());
         match self {
-            LevelSpec::Correlation { k_sg } => {
-                format!(
-                    "{{\"kind\": \"correlation\", \"k_sg\": {}}}",
-                    write_f64(*k_sg)
-                )
-            }
+            LevelSpec::Correlation { k_sg } => o.put("k_sg", k_sg),
             LevelSpec::Vsl {
                 n_points,
                 radiating,
-            } => format!(
-                "{{\"kind\": \"vsl\", \"n_points\": {n_points}, \"radiating\": {radiating}}}"
-            ),
+            } => o.put("n_points", n_points).put("radiating", radiating),
             LevelSpec::EulerBl {
                 ni,
                 nj,
                 max_steps,
                 tol,
-            } => format!(
-                "{{\"kind\": \"euler_bl\", \"ni\": {ni}, \"nj\": {nj}, \
-                 \"max_steps\": {max_steps}, \"tol\": {}}}",
-                write_f64(*tol)
-            ),
-            LevelSpec::Pns { ni, nj, i_start } => {
-                format!("{{\"kind\": \"pns\", \"ni\": {ni}, \"nj\": {nj}, \"i_start\": {i_start}}}")
             }
-            LevelSpec::Ns {
+            | LevelSpec::Ns {
                 ni,
                 nj,
                 max_steps,
                 tol,
-            } => format!(
-                "{{\"kind\": \"ns\", \"ni\": {ni}, \"nj\": {nj}, \
-                 \"max_steps\": {max_steps}, \"tol\": {}}}",
-                write_f64(*tol)
-            ),
-            LevelSpec::Synthetic { work_ms, outcome } => format!(
-                "{{\"kind\": \"synthetic\", \"work_ms\": {}, \"outcome\": {}}}",
-                write_f64(*work_ms),
-                write_string(outcome)
-            ),
-        }
+            } => {
+                o.put("ni", ni).put("nj", nj);
+                o.put("max_steps", max_steps).put("tol", tol)
+            }
+            LevelSpec::Pns { ni, nj, i_start } => {
+                o.put("ni", ni).put("nj", nj).put("i_start", i_start)
+            }
+            LevelSpec::Synthetic { work_ms, outcome } => {
+                o.put("work_ms", work_ms).put("outcome", outcome)
+            }
+        };
     }
 
     fn from_json(v: &Value) -> Result<Self, SolverError> {
@@ -351,19 +335,12 @@ impl FlowSpec {
         }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"rho_inf\": {}, \"u_inf\": {}, \"t_inf\": {}, \"p_inf\": {}, \
-             \"nose_radius\": {}, \"t_wall\": {}, \"time_s\": {}, \"altitude_m\": {}}}",
-            write_f64(self.rho_inf),
-            write_f64(self.u_inf),
-            write_f64(self.t_inf),
-            write_f64(self.p_inf),
-            write_f64(self.nose_radius),
-            write_f64(self.t_wall),
-            write_f64(self.time_s),
-            write_f64(self.altitude_m),
-        )
+    fn write_json(&self, o: &mut Object<'_>) {
+        o.put("rho_inf", self.rho_inf).put("u_inf", self.u_inf);
+        o.put("t_inf", self.t_inf).put("p_inf", self.p_inf);
+        o.put("nose_radius", self.nose_radius);
+        o.put("t_wall", self.t_wall).put("time_s", self.time_s);
+        o.put("altitude_m", self.altitude_m);
     }
 
     fn from_json(v: &Value) -> Result<Self, SolverError> {
@@ -448,17 +425,18 @@ impl CaseSpec {
     /// Serialize to a single-object JSON string.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\": {}, \"gas\": {}, \"level\": {}, \"flow\": {}, \
-             \"max_retries\": {}, \"timeout_secs\": {}, \"inject_fault\": {}}}",
-            write_string(&self.id),
-            self.gas.to_json(),
-            self.level.to_json(),
-            self.flow.to_json(),
-            self.max_retries,
-            write_f64(self.timeout_secs),
-            self.inject_fault,
-        )
+        json::write_object(Layout::Inline, |o| self.write_json(o))
+    }
+
+    /// Write this case's members into `o`.
+    pub(crate) fn write_json(&self, o: &mut Object<'_>) {
+        o.put("id", &self.id);
+        o.object("gas", Layout::Inline, |g| self.gas.write_json(g));
+        o.object("level", Layout::Inline, |l| self.level.write_json(l));
+        o.object("flow", Layout::Inline, |f| self.flow.write_json(f));
+        o.put("max_retries", self.max_retries);
+        o.put("timeout_secs", self.timeout_secs);
+        o.put("inject_fault", self.inject_fault);
     }
 
     /// Deserialize from a parsed JSON value.

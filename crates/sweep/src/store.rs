@@ -2,7 +2,7 @@
 //! a killed sweep loses at most the case in flight, and a restart can skip
 //! everything already on disk.
 
-use aerothermo_numerics::json::{self, write_f64, write_string, Value};
+use aerothermo_numerics::json::{self, Layout, Value};
 use aerothermo_numerics::telemetry::SolverError;
 use std::io::Write;
 
@@ -86,45 +86,18 @@ impl CaseOutcome {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"id\": ");
-        out.push_str(&write_string(&self.id));
-        out.push_str(", \"status\": ");
-        out.push_str(&write_string(self.status.name()));
-        out.push_str(&format!(
-            ", \"wall_secs\": {}, \"retries\": {}, \"worker\": {}, \"note\": {}, \"error\": ",
-            write_f64(self.wall_secs),
-            self.retries,
-            self.worker,
-            write_string(&self.note)
-        ));
-        match &self.error {
-            Some(e) => out.push_str(&write_string(e)),
-            None => out.push_str("null"),
-        }
-        out.push_str(", \"metrics\": {");
-        for (k, (name, v)) in self.metrics.iter().enumerate() {
-            if k > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", write_string(name), write_f64(*v)));
-        }
-        out.push_str("}, \"counters\": {");
-        let mut wrote = 0;
-        for (name, v) in &self.counters {
-            if *v == 0 {
-                continue; // elide zeros: most levels touch a few counters
-            }
-            if wrote > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", write_string(name)));
-            wrote += 1;
-        }
-        out.push('}');
-        if let Some(pm) = &self.postmortem {
-            out.push_str(&format!(", \"postmortem\": {}", write_string(pm)));
-        }
-        out.push('}');
+        json::push_object(&mut out, Layout::Inline, |o| {
+            o.put("id", &self.id).put("status", self.status.name());
+            o.put("wall_secs", self.wall_secs)
+                .put("retries", self.retries);
+            o.put("worker", self.worker).put("note", &self.note);
+            o.put("error", self.error.as_deref());
+            o.object("metrics", Layout::Inline, |m| m.members(&self.metrics));
+            // Zeros are elided: most levels touch a few counters.
+            let nonzero = self.counters.iter().filter(|(_, v)| *v != 0);
+            o.object("counters", Layout::Inline, |c| c.members(nonzero));
+            o.put_some("postmortem", self.postmortem.as_ref());
+        });
         out
     }
 
