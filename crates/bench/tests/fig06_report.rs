@@ -1,0 +1,152 @@
+//! Gate on the fig06 run report: launch `fig06_windward_heating` as a user
+//! does, once with in-situ audits and a span trace, once with a NaN
+//! injected mid-march, and check the report, the trace and the
+//! flight-recorder black box it leaves.
+
+use aerothermo_bench::json::{self, Value};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fig06-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create the run directory");
+    dir
+}
+
+fn fig06(dir: &Path, args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig06_windward_heating"))
+        .arg("--csv")
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("launch fig06_windward_heating");
+    assert!(
+        out.status.success(),
+        "fig06 {args:?} exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+fn read_json(path: &Path) -> Value {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key).and_then(Value::as_f64)
+}
+
+#[test]
+fn fig06_audits_have_no_hard_failures_and_the_trace_is_wired() {
+    let dir = fresh_dir("audit");
+    fig06(
+        &dir,
+        &[
+            "--audit",
+            "--report=fig06-report.json",
+            "--trace=fig06-trace.json",
+        ],
+    );
+    let report = read_json(&dir.join("fig06-report.json"));
+    let trace = read_json(&dir.join("fig06-trace.json"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let audits = report
+        .get("audits")
+        .and_then(Value::as_array)
+        .expect("report has audits");
+    assert!(
+        !audits.is_empty(),
+        "report carries no audit findings -- the audit gate would be vacuous"
+    );
+    let summary = report
+        .get("audit_summary")
+        .expect("report has audit_summary");
+    assert_eq!(
+        num(summary, "fail"),
+        Some(0.0),
+        "hard audit failures: {audits:?}"
+    );
+    assert_eq!(
+        report.get("all_green"),
+        Some(&Value::Bool(true)),
+        "run report is not all green"
+    );
+    let events = trace
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("trace has traceEvents");
+    assert!(
+        !events.is_empty(),
+        "span trace is empty -- the profiler is not wired"
+    );
+    // Field checks for every timing entry live in tests/observability.rs.
+    let eq = report
+        .get("timings")
+        .and_then(|t| t.get("equilibrium_state"))
+        .expect("no equilibrium_state timing -- spans are not wired");
+    for k in ["calls", "p50_ns", "p90_ns", "p99_ns", "total_ns"] {
+        assert!(eq.get(k).is_some(), "timing equilibrium_state missing {k}");
+    }
+}
+
+#[test]
+fn fig06_nan_injection_recovers_by_rollback_and_leaves_a_black_box() {
+    let dir = fresh_dir("inject");
+    fig06(
+        &dir,
+        &[
+            "--checkpoint=4",
+            "--inject-nan=5",
+            "--report=fig06-injected.json",
+        ],
+    );
+    let report = read_json(&dir.join("fig06-injected.json"));
+    let blackbox = read_json(&dir.join("fig06_windward_heating-blackbox.json"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let m = report.get("metrics").expect("report has metrics");
+    assert_eq!(
+        report.get("all_green"),
+        Some(&Value::Bool(true)),
+        "injected run is not all green"
+    );
+    assert!(
+        num(m, "vsl_march.retries").is_some_and(|r| r >= 1.0),
+        "injected NaN did not register a retry"
+    );
+    assert!(
+        m.get("vsl_march.final_cfl").is_some(),
+        "final CFL missing from the report"
+    );
+    let scale = num(m, "vsl_march.final_cfl_scale");
+    assert!(
+        scale.is_some_and(|s| s < 1.0),
+        "CFL was not backed off after rollback: {scale:?}"
+    );
+    let rollbacks = report
+        .get("counters")
+        .and_then(|c| num(c, "run_rollbacks"))
+        .unwrap_or(0.0);
+    assert!(rollbacks >= 1.0, "run_rollbacks counter not incremented");
+
+    // The injection leaves a black box even though the run recovered:
+    // trigger nan_injection, with an "inject" step record.
+    let text = |key: &str| blackbox.get(key).and_then(Value::as_str);
+    assert_eq!(text("schema"), Some("aerothermo-blackbox-v1"));
+    assert_eq!(text("trigger"), Some("nan_injection"));
+    let records = blackbox
+        .get("records")
+        .and_then(Value::as_array)
+        .expect("blackbox has records");
+    assert!(!records.is_empty(), "blackbox carries no step records");
+    assert!(
+        records
+            .iter()
+            .any(|r| r.get("event").and_then(Value::as_str) == Some("inject")),
+        "blackbox records do not name the injection step"
+    );
+}
