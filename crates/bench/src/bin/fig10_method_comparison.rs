@@ -16,9 +16,11 @@
 //! serial costs (the sweep engine's per-case timing replaces the old
 //! hand-rolled `Instant` bracketing).
 //!
-//! Reported: wall-clock time and stagnation heat flux; the check is the
-//! cost ordering VSL < E+BL < PNS < NS with NS at least an order of
-//! magnitude above VSL.
+//! Reported: wall-clock time and stagnation heat flux. The checks: NS
+//! costs more than each of VSL, E+BL and PNS, and at least 10× VSL; the
+//! VSL, E+BL and NS heating agree within a factor of about 3. The order
+//! among VSL, E+BL and PNS is not checked: the line-implicit PNS march
+//! now runs in about the time of the E+BL case.
 
 use aerothermo_bench::{cli, emit, Report};
 use aerothermo_core::tables::Table;
@@ -144,5 +146,5 @@ fn main() {
         );
     }
     report.finish();
-    println!("PASS: cost hierarchy VSL/E+BL < PNS < NS reproduced (paper's method taxonomy)");
+    println!("PASS: NS costs the most and ≥ 10× VSL; VSL, E+BL and NS heating agree (paper's method taxonomy)");
 }

@@ -11,10 +11,11 @@ use aerothermo::gas::equilibrium::air9_equilibrium;
 use aerothermo::gas::kinetics::park_air9;
 use aerothermo::gas::relaxation::RelaxationModel;
 use aerothermo::gas::IdealGas;
-use aerothermo::grid::bodies::Hemisphere;
+use aerothermo::grid::bodies::{Hemisphere, SphereCone};
 use aerothermo::grid::{stretch, StructuredGrid};
 use aerothermo::solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo::solvers::ns2d::{NsSolver, Transport};
+use aerothermo::solvers::pns::{PnsOptions, PnsSolver};
 use aerothermo::solvers::reacting::{
     FreeStream, ReactingBc, ReactingBcSet, ReactingOptions, ReactingSolver,
 };
@@ -152,6 +153,28 @@ fn reacting_checkpoint_resume_is_bitwise_identical() {
     let a = ReactingSolver::new(&grid, &set, &relax, bc.clone(), opts.clone(), &fs);
     let b = ReactingSolver::new(&grid, &set, &relax, bc, opts, &fs);
     assert_bitwise_resume(a, b, 25, 15, "reacting");
+}
+
+#[test]
+fn pns_checkpoint_resume_is_bitwise_identical() {
+    // Viscous sphere-cone march at the hemisphere tests' M8 condition; the
+    // snapshot carries the field and the wall rows of the stations done.
+    let gas = IdealGas::air();
+    let (_, fs, _) = hemisphere_setup();
+    let body = SphereCone {
+        rn: 0.01,
+        half_angle: 15f64.to_radians(),
+        length: 0.5,
+    };
+    let dist = stretch::tanh_one_sided(16, 2.5);
+    let grid = StructuredGrid::blunt_body(&body, 24, 16, &|sb| 0.02 + 0.2 * sb, &dist);
+    let opts = PnsOptions {
+        t_wall: Some(300.0),
+        ..PnsOptions::default()
+    };
+    let a = PnsSolver::new(&grid, &gas, opts.clone(), fs);
+    let b = PnsSolver::new(&grid, &gas, opts, fs);
+    assert_bitwise_resume(a, b, 8, 6, "pns");
 }
 
 #[test]
