@@ -1,7 +1,8 @@
 //! Gate on the fig06 run report: launch `fig06_windward_heating` as a user
 //! does, once with in-situ audits and a span trace, once with a NaN
-//! injected mid-march, and check the report, the trace and the
-//! flight-recorder black box it leaves.
+//! injected mid-march, and once halted mid-march and resumed from its
+//! restart file, and check the reports, the trace and the flight-recorder
+//! black box they leave.
 
 use aerothermo_bench::json::{self, Value};
 use std::path::{Path, PathBuf};
@@ -14,13 +15,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn fig06(dir: &Path, args: &[&str]) {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig06_windward_heating"))
+fn launch(dir: &Path, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_fig06_windward_heating"))
         .arg("--csv")
         .args(args)
         .current_dir(dir)
         .output()
-        .expect("launch fig06_windward_heating");
+        .expect("launch fig06_windward_heating")
+}
+
+fn fig06(dir: &Path, args: &[&str]) {
+    let out = launch(dir, args);
     assert!(
         out.status.success(),
         "fig06 {args:?} exited with {}: {}",
@@ -149,4 +154,105 @@ fn fig06_nan_injection_recovers_by_rollback_and_leaves_a_black_box() {
             .any(|r| r.get("event").and_then(Value::as_str) == Some("inject")),
         "blackbox records do not name the injection step"
     );
+}
+
+#[test]
+fn fig06_resume_from_the_restart_file_reproduces_the_uninterrupted_run() {
+    let dir = fresh_dir("resume");
+    fig06(&dir, &["--report=fig06-reference.json"]);
+    // --halt-after stops the controller deterministically after unit 12
+    // (exit code 3), leaving the cadence-4 restart file behind.
+    let halted = launch(
+        &dir,
+        &[
+            "--checkpoint=4",
+            "--halt-after=12",
+            "--report=fig06-halted.json",
+        ],
+    );
+    assert_eq!(
+        halted.status.code(),
+        Some(3),
+        "expected halt exit code 3: {}",
+        String::from_utf8_lossy(&halted.stderr)
+    );
+    let restart = "fig06_windward_heating-restart.atrc";
+    let len = std::fs::metadata(dir.join(restart)).map_or(0, |m| m.len());
+    assert!(len > 0, "halted run left no restart file");
+    fig06(
+        &dir,
+        &[
+            &format!("--restart={restart}"),
+            "--report=fig06-resumed.json",
+        ],
+    );
+    let reference = read_json(&dir.join("fig06-reference.json"));
+    let resumed = read_json(&dir.join("fig06-resumed.json"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The resumed report must reproduce the uninterrupted run exactly.
+    // Excluded: *.run_units and the runctl_* histories (the resumed
+    // controller only ran the post-checkpoint units) and timings.
+    let verdicts = |r: &Value| -> Vec<(String, Option<bool>)> {
+        let mut v: Vec<_> = r
+            .get("checks")
+            .and_then(Value::as_array)
+            .expect("report has checks")
+            .iter()
+            .map(|c| {
+                let name = c.get("name").and_then(Value::as_str).unwrap_or_default();
+                let passed = match c.get("passed") {
+                    Some(Value::Bool(b)) => Some(*b),
+                    _ => None,
+                };
+                (name.to_string(), passed)
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(
+        verdicts(&reference),
+        verdicts(&resumed),
+        "check verdicts differ"
+    );
+    assert_eq!(
+        resumed.get("all_green"),
+        Some(&Value::Bool(true)),
+        "resumed run is not all green"
+    );
+
+    let q_conv = |r: &Value| -> Vec<Option<u64>> {
+        r.get("histories")
+            .and_then(|h| h.get("vsl_march.station_q_conv"))
+            .and_then(Value::as_array)
+            .expect("report has the station_q_conv history")
+            .iter()
+            .map(|q| q.as_f64().map(f64::to_bits))
+            .collect()
+    };
+    let (q_ref, q_res) = (q_conv(&reference), q_conv(&resumed));
+    assert!(
+        !q_ref.is_empty() && q_ref == q_res,
+        "station_q_conv differs after resume: {} vs {} entries",
+        q_ref.len(),
+        q_res.len()
+    );
+
+    let metrics = |r: &Value| {
+        let mut m = r
+            .get("metrics")
+            .and_then(Value::as_object)
+            .expect("report has metrics")
+            .clone();
+        m.retain(|k, _| !k.ends_with(".run_units"));
+        m
+    };
+    let (m_ref, m_res) = (metrics(&reference), metrics(&resumed));
+    let differ: Vec<&String> = m_ref
+        .keys()
+        .chain(m_res.keys())
+        .filter(|k| m_ref.get(*k) != m_res.get(*k))
+        .collect();
+    assert!(differ.is_empty(), "metrics differ after resume: {differ:?}");
 }
