@@ -5,7 +5,8 @@
 //! stiff chemistry integration, the Fig. 7 relaxation march
 //! (`relaxation_march`), direct equilibrium-composition solves, the Titan
 //! shock layer's equilibrium inversions (`equilibrium_inversion`),
-//! spectrum integration, Euler blunt-body steps, the daemon's float text
+//! spectrum integration, Euler blunt-body steps, the viscous-cone PNS
+//! march (`pns_march`), the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
 //! partitioning, shard-store federation) — and writes every span label's
 //! exact statistics plus kernel counter totals as `BENCH_<label>.json`
@@ -41,7 +42,7 @@ use aerothermo_gas::equilibrium::{air9_equilibrium, reset_thread_warm_cache, tit
 use aerothermo_gas::kinetics::park_air9;
 use aerothermo_gas::relaxation::RelaxationModel;
 use aerothermo_gas::GasModel;
-use aerothermo_grid::bodies::Hemisphere;
+use aerothermo_grid::bodies::{Hemisphere, SphereCone};
 use aerothermo_grid::{stretch, StructuredGrid};
 use aerothermo_numerics::constants::R_UNIVERSAL;
 use aerothermo_numerics::newton::{newton_solve, NewtonOptions};
@@ -53,6 +54,7 @@ use aerothermo_radiation::spectra::spectrum;
 use aerothermo_radiation::GasSample;
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
+use aerothermo_solvers::pns::{PnsOptions, PnsSolver};
 use aerothermo_solvers::shock::normal_shock;
 use aerothermo_solvers::shock1d::{solve as relax_solve, RelaxationProblem};
 use aerothermo_sweep::shard::{federate, partition};
@@ -477,6 +479,38 @@ fn run_suite() {
         );
         for _ in 0..120 {
             solver.step();
+        }
+    }
+
+    // The viscous-cone PNS march (`pns_march`) of the solver's
+    // `viscous_cone_heating_decays_downstream` test: a 70×44 sphere-cone
+    // at Mach 8 in ideal air with a 300 K wall, one line-implicit station
+    // solve per station.
+    {
+        let t = 220.0;
+        let p = 2000.0;
+        let rho = p / (287.05 * t);
+        let fs = (rho, 8.0 * (1.4_f64 * 287.05 * t).sqrt(), 0.0, p);
+        let (length, rn) = (1.2, 0.01);
+        let body = SphereCone {
+            rn,
+            half_angle: 10f64.to_radians(),
+            length,
+        };
+        let dist = stretch::tanh_one_sided(44, 2.5);
+        let grid =
+            StructuredGrid::blunt_body(&body, 70, 44, &|sb| 0.02 + 0.35 * sb * length, &dist);
+        let gas = aerothermo_gas::IdealGas::air();
+        let opts = PnsOptions {
+            t_wall: Some(300.0),
+            ..PnsOptions::default()
+        };
+        for _ in 0..3 {
+            let _sp = trace::span("pns_march");
+            let sol = PnsSolver::new(&grid, &gas, opts.clone(), fs)
+                .march(8)
+                .expect("pns march");
+            assert_eq!(sol.station_x.len(), 61);
         }
     }
 
