@@ -35,6 +35,7 @@ fn main() {
     let mut y1 = vec![0.0; gas.mixture().len()];
     y1[0] = 0.767;
     y1[1] = 0.233;
+    let x_end = 0.03;
     let sol = solve(
         &set,
         &relax,
@@ -43,43 +44,42 @@ fn main() {
             t1,
             p1,
             y1,
-            x_end: 0.03,
+            x_end,
         },
     )
     .expect("relaxation march");
 
-    // Build slab layers from the relaxing flowfield. The 9-species model
-    // lacks N2+; estimate it by Saha balance at the local T_v (the
-    // electronically controlling temperature) — the standard QSS patch.
+    // Build slab layers from the relaxing flowfield: fixed 0.2 mm cells,
+    // each sampled at its midpoint, so the slab is set here and not by the
+    // integrator's step pattern. The 9-species model lacks N2+; estimate it
+    // by Saha balance at the local T_v (the electronically controlling
+    // temperature) — the standard QSS patch.
     let names: Vec<&str> = gas.mixture().species().iter().map(|s| s.name).collect();
     let n2 = spdb::n2();
     let n2p = spdb::n2_ion();
-    let mut layers = Vec::new();
-    let mut prev_x = 0.0;
-    for p in sol.points.iter().filter(|p| p.x > 1e-5) {
-        let dx = p.x - prev_x;
-        if dx < 2e-4 && !layers.is_empty() {
-            continue;
-        }
-        prev_x = p.x;
-        let mut dens: Vec<(String, f64)> = names
-            .iter()
-            .enumerate()
-            .map(|(s, n)| ((*n).to_string(), p.x_mole[s] * p.n_total))
-            .collect();
-        let n_n2 = p.x_mole[0] * p.n_total;
-        let n_e = p.x_mole[8] * p.n_total;
-        let n_n2p = saha_ion_density(&n2, &n2p, n_n2, n_e.max(1e10), p.tv.min(p.t));
-        dens.push(("N2+".to_string(), n_n2p.min(0.01 * n_n2)));
-        layers.push(Layer {
-            thickness: dx,
-            sample: GasSample {
-                t: p.t,
-                t_exc: p.tv,
-                densities: dens,
-            },
-        });
-    }
+    let dx = 2e-4;
+    let layers: Vec<Layer> = (0..(x_end / dx).round() as usize)
+        .map(|k| {
+            let p = sol.at((k as f64 + 0.5) * dx);
+            let mut dens: Vec<(String, f64)> = names
+                .iter()
+                .enumerate()
+                .map(|(s, n)| ((*n).to_string(), p.x_mole[s] * p.n_total))
+                .collect();
+            let n_n2 = p.x_mole[0] * p.n_total;
+            let n_e = p.x_mole[8] * p.n_total;
+            let n_n2p = saha_ion_density(&n2, &n2p, n_n2, n_e.max(1e10), p.tv.min(p.t));
+            dens.push(("N2+".to_string(), n_n2p.min(0.01 * n_n2)));
+            Layer {
+                thickness: dx,
+                sample: GasSample {
+                    t: p.t,
+                    t_exc: p.tv,
+                    densities: dens,
+                },
+            }
+        })
+        .collect();
     println!("slab layers: {}", layers.len());
 
     let lam = wavelength_grid(0.2e-6, 1.0e-6, 1600);

@@ -10,7 +10,7 @@
 //! steady flow, so the marched unknowns are only the species mass fractions
 //! and the vibronic energy; at each station the flow speed (hence ρ, p, T)
 //! is recovered by a bracketed scalar solve. The stiff system is integrated
-//! with the adaptive backward-Euler marcher from `aerothermo-numerics`.
+//! with the adaptive Rosenbrock-W marcher from `aerothermo-numerics`.
 
 use crate::shock::{frozen_shock, ShockState};
 use aerothermo_gas::kinetics::ReactionSet;
@@ -77,18 +77,42 @@ pub struct RelaxationSolution {
 }
 
 impl RelaxationSolution {
-    /// Station nearest to `x`.
+    /// The state at `x`, every field interpolated linearly between the two
+    /// stations around it; the returned point carries `x` itself. An `x`
+    /// outside the march is clamped to its first or last station.
     ///
     /// # Panics
     /// Panics if the solution is empty — unreachable for solutions produced
     /// by [`solve`], which errors rather than returning an empty march (the
     /// integrator records the x = 0 state before its first step).
     #[must_use]
-    pub fn at(&self, x: f64) -> &RelaxationPoint {
-        self.points
-            .iter()
-            .min_by(|a, b| (a.x - x).abs().total_cmp(&(b.x - x).abs()))
-            .expect("empty solution")
+    pub fn at(&self, x: f64) -> RelaxationPoint {
+        let first = self.points.first().expect("empty solution");
+        let last = self.points.last().expect("empty solution");
+        let x = x.clamp(first.x, last.x);
+        let k = self.points.partition_point(|p| p.x < x);
+        if k == 0 {
+            return first.clone();
+        }
+        let (a, b) = (&self.points[k - 1], &self.points[k]);
+        let w = (x - a.x) / (b.x - a.x);
+        let lerp = |fa: f64, fb: f64| fa + w * (fb - fa);
+        let lerp_all = |fa: &[f64], fb: &[f64]| -> Vec<f64> {
+            fa.iter().zip(fb).map(|(p, q)| lerp(*p, *q)).collect()
+        };
+        RelaxationPoint {
+            x,
+            t: lerp(a.t, b.t),
+            tv: lerp(a.tv, b.tv),
+            u: lerp(a.u, b.u),
+            rho: lerp(a.rho, b.rho),
+            p: lerp(a.p, b.p),
+            y: lerp_all(&a.y, &b.y),
+            x_mole: lerp_all(&a.x_mole, &b.x_mole),
+            n_total: lerp(a.n_total, b.n_total),
+            ev: lerp(a.ev, b.ev),
+            h_residual: lerp(a.h_residual, b.h_residual),
+        }
     }
 
     /// Distance at which T and T_v first agree within `frac` (relative).
@@ -396,6 +420,39 @@ mod tests {
             x_end: 0.05,
         };
         (set, relax, problem)
+    }
+
+    #[test]
+    fn at_interpolates_between_stations_and_clamps_outside() {
+        let point = |x: f64, t: f64| RelaxationPoint {
+            x,
+            t,
+            tv: 0.5 * t,
+            u: 1.0,
+            rho: 2.0,
+            p: 3.0,
+            y: vec![1.0 - t / 1e4, t / 1e4],
+            x_mole: vec![0.5, 0.5],
+            n_total: 4.0,
+            ev: t,
+            h_residual: 0.0,
+        };
+        let sol = RelaxationSolution {
+            points: vec![point(0.0, 1000.0), point(1e-3, 3000.0), point(3e-3, 2000.0)],
+            t_frozen: 1000.0,
+            telemetry: RunTelemetry::new(),
+        };
+        let mid = sol.at(2e-3);
+        assert_eq!(mid.x, 2e-3);
+        assert!((mid.t - 2500.0).abs() < 1e-9 && (mid.tv - 1250.0).abs() < 1e-9);
+        assert!((mid.y[1] - 0.25).abs() < 1e-12 && (mid.ev - 2500.0).abs() < 1e-9);
+        let quarter = sol.at(0.25e-3);
+        assert_eq!(quarter.x, 0.25e-3);
+        assert!((quarter.t - 1500.0).abs() < 1e-9);
+        // A station is returned as it is; outside the march, the end.
+        assert_eq!(sol.at(1e-3).t, 3000.0);
+        assert_eq!((sol.at(-1.0).x, sol.at(-1.0).t), (0.0, 1000.0));
+        assert_eq!((sol.at(1.0).x, sol.at(1.0).t), (3e-3, 2000.0));
     }
 
     #[test]
