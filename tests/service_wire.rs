@@ -1,9 +1,10 @@
 //! Wire-level tests of the `aerothermod` line protocol against an
 //! in-process [`Daemon`]: framing under arbitrary write splits, CRLF and
 //! blank lines, pipelining, the request-size, batch-length, nesting and
-//! worker-count caps, non-finite coordinates, random lines, and a large
-//! mixed batch that must answer bitwise like single queries with the
-//! counters moving as documented.
+//! worker-count caps, non-finite coordinates, random lines, a large mixed
+//! batch that must answer bitwise like single queries with the counters
+//! moving as documented, and a repeated batch served from the resident
+//! table.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -242,6 +243,34 @@ fn mixed_batch_matches_single_queries_bitwise_and_counts_fallbacks() {
         assert_eq!(bits(item), bits(single), "point {k}");
         assert_eq!(item.get("exact"), single.get("exact"), "point {k}");
     }
+}
+
+#[test]
+fn repeated_batch_reuses_the_resident_table_and_falls_back_once_each() {
+    // Two identical batches, each with one point below the corridor: the
+    // surrogate builds exactly once, the repeat batch is answered from the
+    // resident table, and each batch takes exactly one exact fallback.
+    let fx = Fixture::start("resident");
+    let mut c = fx.client();
+    let hs = [45_000.0, 60_000.0, 75_000.0, 30_000.0];
+    let vs = [5_000.0, 8_000.0, 11_000.0, 6_000.0];
+    let m0 = counters(&mut c);
+    c.query(60_000.0, 8_000.0).expect("query answered");
+    c.query_batch(&hs, &vs).expect("first batch answered");
+    let m1 = counters(&mut c);
+    c.query_batch(&hs, &vs).expect("repeat batch answered");
+    let m2 = counters(&mut c);
+    let delta = |a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>, name: &str| {
+        counter(b, name) - counter(a, name)
+    };
+    assert_eq!(delta(&m0, &m1, "surrogate_builds"), 1.0, "first batch");
+    assert_eq!(delta(&m1, &m2, "surrogate_builds"), 0.0, "repeat batch");
+    assert!(
+        delta(&m1, &m2, "surrogate_queries") >= 3.0,
+        "repeat batch did not hit the resident table: {m1:?} -> {m2:?}"
+    );
+    assert_eq!(delta(&m0, &m1, "surrogate_exact_fallbacks"), 1.0);
+    assert_eq!(delta(&m1, &m2, "surrogate_exact_fallbacks"), 1.0);
 }
 
 #[test]
