@@ -75,19 +75,41 @@ pub fn lu_factor(a: &mut [f64], n: usize, piv: &mut [usize]) -> Result<(), Linal
 }
 
 /// Solve `L U x = P b` given a factorization from [`lu_factor`]; the solution
-/// overwrites `x`, which must enter holding `b`.
+/// overwrites `x`, which must enter holding `b`. Allocates nothing.
 ///
 /// # Errors
-/// [`LinalgError::Dimension`] on shape mismatch.
+/// [`LinalgError::Dimension`] on shape mismatch, or when walking `piv`
+/// leaves `0..n` or never closes a cycle (`piv` must come from
+/// [`lu_factor`]).
 pub fn lu_solve(lu: &[f64], n: usize, piv: &[usize], x: &mut [f64]) -> Result<(), LinalgError> {
     if lu.len() != n * n || piv.len() != n || x.len() != n {
         return Err(LinalgError::Dimension);
     }
-    // Apply permutation: x <- P b. piv records, for each k, the original row
-    // that ended up in position k, so scatter accordingly.
-    let b: Vec<f64> = x.to_vec();
-    for k in 0..n {
-        x[k] = b[piv[k]];
+    // Apply permutation in place: x <- P b. piv records, for each k, the
+    // original row that ended up in position k. Each cycle of piv is
+    // rotated once, starting from its smallest index (its leader); the
+    // leader test walks the cycle, so the pass costs O(n²) at worst, no
+    // more than the substitutions below.
+    for s in 0..n {
+        let mut k = piv[s];
+        let mut steps = 0;
+        while k > s {
+            k = *piv.get(k).ok_or(LinalgError::Dimension)?;
+            steps += 1;
+            if steps > n {
+                return Err(LinalgError::Dimension);
+            }
+        }
+        if k < s {
+            continue;
+        }
+        let first = x[s];
+        let mut k = s;
+        while piv[k] != s {
+            x[k] = x[piv[k]];
+            k = piv[k];
+        }
+        x[k] = first;
     }
     // Forward substitution (L has unit diagonal).
     for i in 1..n {
@@ -253,6 +275,49 @@ mod tests {
             let mut x = b0.clone();
             solve_dense(&mut a, n, &mut x).unwrap();
             assert!(residual(&a0, n, &x, &b0) < 1e-10, "n={n}");
+        }
+    }
+
+    /// Every permutation of 0..6 (one to six cycles): with L = U = I the
+    /// solve is the permutation alone, and it must equal the gather
+    /// `x[k] = b[piv[k]]` bitwise.
+    #[test]
+    fn in_place_permutation_matches_the_gather() {
+        fn permutations(rest: &mut Vec<usize>, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if rest.is_empty() {
+                out.push(prefix.clone());
+            }
+            for k in 0..rest.len() {
+                prefix.push(rest.remove(k));
+                permutations(rest, prefix, out);
+                rest.insert(k, prefix.pop().expect("pushed"));
+            }
+        }
+        let n = 6;
+        let mut all = Vec::new();
+        permutations(&mut (0..n).collect(), &mut Vec::new(), &mut all);
+        assert_eq!(all.len(), 720);
+        let mut eye = vec![0.0; n * n];
+        for k in 0..n {
+            eye[k * n + k] = 1.0;
+        }
+        let b: Vec<f64> = (0..n).map(|k| 0.1 * k as f64 - 0.25).collect();
+        for piv in &all {
+            let mut x = b.clone();
+            lu_solve(&eye, n, piv, &mut x).unwrap();
+            let gathered: Vec<u64> = piv.iter().map(|&p| b[p].to_bits()).collect();
+            let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, gathered, "piv {piv:?}");
+        }
+        // A pivot vector that leaves 0..n or never closes is an error, not
+        // an endless walk.
+        let eye3 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
+        for bad in [[1, 2, 9], [1, 2, 1]] {
+            let mut x = [1.0, 2.0, 3.0];
+            assert_eq!(
+                lu_solve(&eye3, 3, &bad, &mut x),
+                Err(LinalgError::Dimension)
+            );
         }
     }
 }
