@@ -178,7 +178,7 @@ fn main() {
     };
     let opts = SweepOptions {
         workers: cli::workers(),
-        order: ScheduleOrder::CheapestFirst,
+        order: ScheduleOrder::LongestFirst,
         store_path: Some(stamp(cli::sweep_store_path(&plan.name))),
         resume: cli::resume(),
         default_timeout_secs: cli::timeout_secs(),

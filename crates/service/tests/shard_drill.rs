@@ -121,22 +121,23 @@ fn killed_shard_daemon_resumes_and_federates_bitwise_identical() {
     let plan = smoke_plan();
     let reference = reference_fingerprint(&dirs);
 
-    // Shard 0/2 with a halt budget so the store is genuinely partial,
+    // Shard 1/2 (five of the six cases: the Titan VSL alone outweighs
+    // the rest) with a halt budget so the store is genuinely partial,
     // then SIGKILL the daemon mid-lifecycle.
     let mut daemon = spawn_daemon(&socket, &data_dir);
     let mut client = connect(&socket);
-    let job0 = client
-        .submit_shard(&plan, "0/2", Some("cost_balanced"), Some(1), Some(1))
-        .expect("shard 0 accepted");
-    let st = client.wait(&job0, Duration::from_secs(300)).expect("halt");
-    assert_eq!(phase_of(&st), "halted", "halt budget should stop shard 0");
+    let job1 = client
+        .submit_shard(&plan, "1/2", Some("cost_balanced"), Some(1), Some(1))
+        .expect("shard 1 accepted");
+    let st = client.wait(&job1, Duration::from_secs(300)).expect("halt");
+    assert_eq!(phase_of(&st), "halted", "halt budget should stop shard 1");
     assert_eq!(
         st.get("shard").and_then(Value::as_str),
-        Some("0/2"),
+        Some("1/2"),
         "status must carry the shard slice"
     );
-    let store0 = st.get("store").and_then(Value::as_str).unwrap().to_string();
-    let n_partial = load_records(&store0).expect("partial store parses").len();
+    let store1 = st.get("store").and_then(Value::as_str).unwrap().to_string();
+    let n_partial = load_records(&store1).expect("partial store parses").len();
     daemon.kill().expect("kill daemon");
     daemon.wait().expect("reap daemon");
 
@@ -145,7 +146,7 @@ fn killed_shard_daemon_resumes_and_federates_bitwise_identical() {
     // resume must finish exactly the missing cases.
     let mut daemon = spawn_daemon(&socket, &data_dir);
     let mut client = connect(&socket);
-    let st = client.status(&job0).expect("job recovered from disk");
+    let st = client.status(&job1).expect("job recovered from disk");
     assert_eq!(phase_of(&st), "interrupted");
     let slice_len = st.get("total").and_then(Value::as_f64).unwrap() as usize;
     assert!(
@@ -153,18 +154,18 @@ fn killed_shard_daemon_resumes_and_federates_bitwise_identical() {
         "recovered total must be the shard slice, got {slice_len}"
     );
     assert!(n_partial < slice_len, "drill needs a partial shard store");
-    client.resume(&job0, Some(1)).expect("resume accepted");
+    client.resume(&job1, Some(1)).expect("resume accepted");
     let st = client
-        .wait(&job0, Duration::from_secs(600))
+        .wait(&job1, Duration::from_secs(600))
         .expect("finish");
     assert_eq!(phase_of(&st), "completed");
 
-    // Shard 1/2 runs uninterrupted on the same daemon.
-    let job1 = client
-        .submit_shard(&plan, "1/2", Some("cost_balanced"), Some(1), None)
-        .expect("shard 1 accepted");
+    // Shard 0/2 runs uninterrupted on the same daemon.
+    let job0 = client
+        .submit_shard(&plan, "0/2", Some("cost_balanced"), Some(1), None)
+        .expect("shard 0 accepted");
     let st = client
-        .wait(&job1, Duration::from_secs(600))
+        .wait(&job0, Duration::from_secs(600))
         .expect("finish");
     assert_eq!(phase_of(&st), "completed");
 

@@ -132,17 +132,21 @@ impl EventSink {
     /// Periodic progress pulse: worker utilization in `[0, 1]` and a
     /// completion ETA.
     ///
-    /// `done_wall_secs` is the cumulative wall time of the `done` recorded
-    /// cases; the ETA is their mean wall time scaled by the remaining case
-    /// count over the active workers
-    /// (`mean_case_secs * remaining / busy.clamp(1, workers)`), `null`
-    /// until the first case lands. The old `elapsed/done * remaining`
-    /// extrapolation was biased early during ramp-up: cases mid-flight
-    /// inflated `elapsed` without advancing `done`, so the first
-    /// heartbeats after a slow case overshot wildly and the estimate only
-    /// converged once the pool reached steady state. Utilization is
-    /// clamped so transient `busy > workers` readings (and a 0-clamped
-    /// worker count) can never emit a ratio above 1.
+    /// `done_wall_secs` and `done_cost_ms` are the cumulative wall time and
+    /// modelled cost ([`CaseSpec::cost_estimate`]) of the `done` recorded
+    /// cases; `remaining_cost_ms` is the modelled cost of the queued and
+    /// in-flight ones. The ETA prices the remaining cost at the measured
+    /// rate over the active workers
+    /// (`remaining_cost_ms × done_wall_secs / done_cost_ms / busy.clamp(1,
+    /// workers)`), `null` until a case with a nonzero modelled cost
+    /// lands. Under the longest-first queue a count-based estimate (mean
+    /// case wall time × cases left) is badly wrong: the first case to land
+    /// is a CFD case, and the hundreds left are mostly correlations.
+    /// Utilization is clamped so transient `busy > workers` readings (and
+    /// a 0-clamped worker count) can never emit a ratio above 1.
+    ///
+    /// [`CaseSpec::cost_estimate`]: crate::spec::CaseSpec::cost_estimate
+    #[allow(clippy::too_many_arguments)]
     pub fn heartbeat(
         &self,
         busy: usize,
@@ -150,13 +154,15 @@ impl EventSink {
         done: usize,
         total: usize,
         done_wall_secs: f64,
+        done_cost_ms: f64,
+        remaining_cost_ms: f64,
     ) {
         let t = self.elapsed_secs();
-        // NaN (written as null) until there is a mean to scale.
-        let eta = if done > 0 && total >= done && done_wall_secs.is_finite() {
-            let mean_case_secs = done_wall_secs.max(0.0) / done as f64;
+        // NaN (written as null) until there is a rate to scale.
+        let eta = if done_cost_ms > 0.0 && done_wall_secs.is_finite() && remaining_cost_ms >= 0.0 {
+            let secs_per_ms = done_wall_secs.max(0.0) / done_cost_ms;
             let active = busy.clamp(1, workers.max(1)) as f64;
-            mean_case_secs * (total - done) as f64 / active
+            remaining_cost_ms * secs_per_ms / active
         } else {
             f64::NAN
         };
@@ -280,7 +286,7 @@ mod tests {
         let sink = EventSink::create(&path).unwrap();
         sink.plan_started("p", 2, 1);
         sink.case_started("a", 0);
-        sink.heartbeat(1, 1, 0, 2, 0.0);
+        sink.heartbeat(1, 1, 0, 2, 0.0, 0.0, 2.0);
         sink.case_finished("a", "completed", 0, 0.01);
         sink.plan_finished(1, 0, 0, 0, false, 0.02);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -331,17 +337,24 @@ mod tests {
         let sink = EventSink::create(&path).unwrap();
         // Ramp-up: nothing done yet — ETA must be null, not an
         // extrapolation from in-flight cases.
-        sink.heartbeat(3, 4, 0, 10, 0.0);
-        // Steady state: 4 done at a 0.5 s mean, 3 busy of 4 workers.
-        sink.heartbeat(3, 4, 4, 10, 2.0);
+        sink.heartbeat(3, 4, 0, 10, 0.0, 0.0, 60.0);
+        // Steady state: 4 done, 2.0 s for 40 modelled ms (0.05 s per ms),
+        // 60 ms left, 3 busy of 4 workers.
+        sink.heartbeat(3, 4, 4, 10, 2.0, 40.0, 60.0);
         // Degenerate inputs: 0-clamped workers and busy > workers must not
-        // push utilization above 1; done > total must not yield a negative
-        // ETA (it goes null via the total >= done guard).
-        sink.heartbeat(5, 0, 2, 1, 1.0);
+        // push utilization above 1; a negative remaining cost must not
+        // yield a negative ETA (it goes null).
+        sink.heartbeat(5, 0, 2, 1, 1.0, 10.0, -1.0);
+        // Unequal costs, as under the longest-first queue: one CFD case
+        // of 1000 modelled ms landed after 2.0 s (2 ms of wall per modelled
+        // ms); 100 correlations of 1 modelled ms each are left. They take
+        // 0.2 s, shared by 2 workers: 0.1 s. The old count-based estimate
+        // (2.0 s mean × 100 cases / 2 workers) read 100 s.
+        sink.heartbeat(2, 2, 1, 101, 2.0, 1000.0, 100.0);
         drop(sink);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<json::Value> = text.lines().map(|l| json::parse(l).unwrap()).collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         for (v, line) in lines.iter().zip(text.lines()) {
             // Schema lock: exactly the fields the CI events gate requires.
             for key in [
@@ -364,9 +377,11 @@ mod tests {
             lines[0].get("eta_secs").unwrap().is_null(),
             "no ETA before the first case lands"
         );
-        // mean 0.5 s × 6 remaining / 3 active = 1.0 s.
+        // 60 ms × 0.05 s/ms / 3 active = 1.0 s.
         let eta = lines[1].get("eta_secs").unwrap().as_f64().unwrap();
         assert!((eta - 1.0).abs() < 1e-12, "eta {eta}");
+        let eta = lines[3].get("eta_secs").unwrap().as_f64().unwrap();
+        assert!((eta - 0.1).abs() < 1e-12, "eta {eta}");
         assert!(lines[2].get("eta_secs").unwrap().is_null());
         assert!(
             (lines[2].get("utilization").unwrap().as_f64().unwrap() - 1.0).abs() < 1e-12,

@@ -147,12 +147,6 @@ impl SweepPlan {
         Ok(())
     }
 
-    /// Sum of the per-case scheduler cost estimates.
-    #[must_use]
-    pub fn total_cost(&self) -> f64 {
-        self.cases.iter().map(CaseSpec::cost_estimate).sum()
-    }
-
     /// Serialize to a pretty-enough JSON document (one case per line).
     #[must_use]
     pub fn to_json(&self) -> String {

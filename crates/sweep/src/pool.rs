@@ -40,11 +40,13 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// How the queue is ordered before workers start pulling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleOrder {
-    /// Cheapest cases first (by [`CaseSpec::cost_estimate`], plan order as
-    /// the tiebreak): early results stream out while the expensive tail
-    /// saturates the pool.
+    /// Longest cases first (by [`CaseSpec::cost_estimate`] descending,
+    /// plan order as the tiebreak): Graham's longest-processing-time list
+    /// schedule, whose makespan is within 4/3 of optimal. The expensive
+    /// CFD cases start at once and the cheap ones fill the idle workers
+    /// at the end, instead of one worker finishing the plan alone.
     #[default]
-    CheapestFirst,
+    LongestFirst,
     /// Exactly the plan's order.
     PlanOrder,
 }
@@ -125,7 +127,7 @@ impl Default for SweepOptions {
     fn default() -> Self {
         Self {
             workers: 1,
-            order: ScheduleOrder::CheapestFirst,
+            order: ScheduleOrder::LongestFirst,
             store_path: None,
             resume: false,
             default_timeout_secs: f64::NAN,
@@ -318,20 +320,26 @@ fn execute_case(case: &CaseSpec, worker: usize, opts: &SweepOptions) -> CaseOutc
         }
     };
     let wall_secs = t0.elapsed().as_secs_f64();
-    let (res, counters) = pinned;
+    let (res, mut counters) = pinned;
+    // Metrics and counters are kept sorted by name, the order a store line
+    // parses back in, so a resumed record equals the one that was run.
+    counters.sort_unstable_by_key(|&(name, _)| name);
     match res {
-        Ok(r) => CaseOutcome {
-            id: case.id.clone(),
-            status: CaseStatus::Completed,
-            wall_secs,
-            retries: r.retries,
-            worker,
-            note: r.note,
-            error: None,
-            metrics: r.metrics,
-            counters,
-            postmortem: None,
-        },
+        Ok(mut r) => {
+            r.metrics.sort_by(|a, b| a.0.cmp(&b.0));
+            CaseOutcome {
+                id: case.id.clone(),
+                status: CaseStatus::Completed,
+                wall_secs,
+                retries: r.retries,
+                worker,
+                note: r.note,
+                error: None,
+                metrics: r.metrics,
+                counters,
+                postmortem: None,
+            }
+        }
         Err(PinnedFailure::Solver {
             error,
             retries,
@@ -396,14 +404,20 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
     let mut order: Vec<usize> = (0..plan.cases.len())
         .filter(|&i| !done.contains(&plan.cases[i].id))
         .collect();
-    if opts.order == ScheduleOrder::CheapestFirst {
+    if opts.order == ScheduleOrder::LongestFirst {
         order.sort_by(|&a, &b| {
-            plan.cases[a]
+            plan.cases[b]
                 .cost_estimate()
-                .total_cmp(&plan.cases[b].cost_estimate())
+                .total_cmp(&plan.cases[a].cost_estimate())
                 .then(a.cmp(&b))
         });
     }
+    // Modelled cost of the queued cases, in integer ns so the pool can
+    // count it down atomically: the heartbeat ETA's remaining work.
+    let cost_ns = |idx: usize| (plan.cases[idx].cost_estimate() * 1e6) as u64;
+    let queued_cost_ns = order
+        .iter()
+        .fold(0_u64, |sum, &i| sum.saturating_add(cost_ns(i)));
 
     let queue = Mutex::new(VecDeque::from(order));
     let writer = match &opts.store_path {
@@ -413,9 +427,11 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
     let ran: Mutex<Vec<CaseOutcome>> = Mutex::new(Vec::new());
     let infra_errors: Mutex<Vec<SolverError>> = Mutex::new(Vec::new());
     let recorded = AtomicUsize::new(0);
-    // Cumulative wall time of this run's recorded cases, in ns — feeds the
-    // heartbeat ETA (mean completed-case wall time × remaining cases).
+    // Cumulative wall time and modelled cost of this run's recorded cases,
+    // in ns — the heartbeat ETA scales the remaining modelled cost by
+    // their ratio.
     let done_wall_ns = AtomicU64::new(0);
+    let done_cost_ns = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let workers = opts.workers.max(1);
     let total = relock(&queue).len();
@@ -439,16 +455,20 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
             let busy = &busy;
             let recorded = &recorded;
             let done_wall_ns = &done_wall_ns;
+            let done_cost_ns = &done_cost_ns;
             let hb_stop = &hb_stop;
             let period = opts.heartbeat_secs.max(0.01);
             s.spawn(move || {
                 let pulse = |busy_now: usize| {
+                    let done_cost = done_cost_ns.load(Ordering::SeqCst);
                     sink.heartbeat(
                         busy_now,
                         workers,
                         recorded.load(Ordering::SeqCst),
                         total,
                         done_wall_ns.load(Ordering::SeqCst) as f64 / 1e9,
+                        done_cost as f64 / 1e6,
+                        queued_cost_ns.saturating_sub(done_cost) as f64 / 1e6,
                     );
                 };
                 pulse(busy.load(Ordering::SeqCst));
@@ -471,6 +491,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
                 let infra_errors = &infra_errors;
                 let recorded = &recorded;
                 let done_wall_ns = &done_wall_ns;
+                let done_cost_ns = &done_cost_ns;
                 let stop = &stop;
                 let busy = &busy;
                 let sink = sink.as_ref();
@@ -536,6 +557,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, S
                         }
                     }
                     done_wall_ns.fetch_add(wall_ns, Ordering::SeqCst);
+                    done_cost_ns.fetch_add(cost_ns(idx), Ordering::SeqCst);
                     let n = recorded.fetch_add(1, Ordering::SeqCst) + 1;
                     set_gauge(Gauge::SweepCasesDone, n as f64);
                     if opts.halt_after_cases.is_some_and(|k| n >= k) {
@@ -855,14 +877,17 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_first_orders_the_queue() {
-        // One expensive case first in the plan; with CheapestFirst and one
-        // worker the cheap ones must be *recorded* before it.
-        let mut plan = synthetic_plan(3, "ok");
-        plan.cases[0].level = LevelSpec::Synthetic {
-            work_ms: 50.0,
-            outcome: "ok".to_string(),
-        };
+    fn longest_first_orders_the_queue() {
+        // Costs 1, 5, 1, 3 ms in plan order; with LongestFirst and one
+        // worker the store (execution order) is cost descending, and the
+        // two equal cheap cases keep their plan order.
+        let mut plan = synthetic_plan(4, "ok");
+        for (case, work_ms) in plan.cases.iter_mut().zip([1.0, 5.0, 1.0, 3.0]) {
+            case.level = LevelSpec::Synthetic {
+                work_ms,
+                outcome: "ok".to_string(),
+            };
+        }
         let path = tmp("order.jsonl");
         std::fs::remove_file(&path).ok();
         run_sweep(
@@ -878,7 +903,11 @@ mod tests {
             .into_iter()
             .map(|r| r.id)
             .collect();
-        assert_eq!(ids, ["s01", "s02", "s00"], "store is in execution order");
+        assert_eq!(
+            ids,
+            ["s01", "s03", "s00", "s02"],
+            "store is in execution order"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

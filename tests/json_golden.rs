@@ -184,11 +184,11 @@ fn event_stream_and_normalize() {
     let sink = EventSink::create(&path).unwrap();
     sink.plan_started("plan \"p\"", 3, 2);
     sink.case_started("b", 1);
-    sink.heartbeat(1, 2, 0, 3, 0.0);
+    sink.heartbeat(1, 2, 0, 3, 0.0, 0.0, 3.0);
     sink.case_started("a\\1", 0);
     sink.case_retried("b", 2);
     sink.case_finished("b", "completed", 2, 0.5);
-    sink.heartbeat(2, 2, 1, 3, 0.5);
+    sink.heartbeat(2, 2, 1, 3, 0.5, 1.0, 2.0);
     sink.case_failed("a\\1", "failed", "diverged: \"nan\"\n", f64::NAN);
     sink.plan_finished(1, 1, 0, 1, true, 1.25);
     drop(sink);

@@ -152,17 +152,18 @@ fn halted_shard_resumes_then_federates_bitwise_identical() {
     let shard0 = ShardSpec::new(0, 2, strategy).unwrap();
     let shard1 = ShardSpec::new(1, 2, strategy).unwrap();
 
-    // Shard 0 halts after one case — a mid-shard interruption — then a
+    // Shard 1 (five of the six cases: the Titan VSL alone outweighs the
+    // rest) halts after one case — a mid-shard interruption — then a
     // second process resumes it through the store's skip logic.
-    let partial = run_shard(&dirs, shard0, Some(1), false);
+    let partial = run_shard(&dirs, shard1, Some(1), false);
     let n_partial = load_records(&partial).expect("partial parses").len();
-    let slice_len = shard_plan(&plan, &shard0).unwrap().cases.len();
+    let slice_len = shard_plan(&plan, &shard1).unwrap().cases.len();
     assert!(
         n_partial >= 1 && n_partial < slice_len,
-        "halt budget must leave shard 0 genuinely partial ({n_partial}/{slice_len})"
+        "halt budget must leave shard 1 genuinely partial ({n_partial}/{slice_len})"
     );
-    let store0 = run_shard(&dirs, shard0, None, true);
-    let store1 = run_shard(&dirs, shard1, None, false);
+    let store1 = run_shard(&dirs, shard1, None, true);
+    let store0 = run_shard(&dirs, shard0, None, false);
 
     let (records, report) = federate(&plan, &[store0, store1]).expect("federation succeeds");
     assert!(report.complete(), "{}", report.summary());
