@@ -7,11 +7,6 @@
 //!   ping                                liveness check
 //!   submit --plan=FILE [--workers=N] [--halt-after=K]
 //!                                       submit a sweep plan, print job id
-//!   submit-shard --plan=FILE --shard=i/n [--shard-strategy=S]
-//!                [--workers=N] [--halt-after=K]
-//!                                       submit one shard of a plan
-//!   federate JOB...                     merge finished shard-job stores
-//!                                       into the canonical store
 //!   status JOB                          one status line for JOB
 //!   wait JOB [--timeout=SECS]           poll until JOB leaves 'running';
 //!                                       a live progress line shows
@@ -26,6 +21,8 @@
 //!   shutdown                            stop the daemon
 //! ```
 //!
+//! Sharded runs go through `sweep --shard=i/n` and `sweep federate`.
+//!
 //! Exit codes: 0 success, 2 usage, 3 daemon/transport error, 4 `wait`
 //! ended in `halted`/`cancelled`/`interrupted`, 5 `wait` ended `failed`.
 
@@ -38,8 +35,8 @@ use aerothermo_sweep::SweepPlan;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: aeroctl --socket=PATH <ping|submit|submit-shard|federate|status|\
-         wait|results|cancel|resume|query|query-batch|metrics|shutdown> [args]  \
+        "usage: aeroctl --socket=PATH <ping|submit|status|wait|\
+         results|cancel|resume|query|query-batch|metrics|shutdown> [args]  \
          (see --help)"
     );
     std::process::exit(2);
@@ -93,51 +90,6 @@ fn main() {
                 .submit(&plan, workers, halt)
                 .unwrap_or_else(|e| die(&e));
             println!("{job}");
-        }
-        "submit-shard" => {
-            let Some(path) = flag_value(&args, "--plan") else {
-                eprintln!("aeroctl: submit-shard requires --plan=FILE");
-                usage();
-            };
-            let Some(shard) = flag_value(&args, "--shard") else {
-                eprintln!("aeroctl: submit-shard requires --shard=i/n");
-                usage();
-            };
-            let plan = SweepPlan::load(&path).unwrap_or_else(|e| die(&e));
-            let strategy = flag_value(&args, "--shard-strategy");
-            let workers = flag_value(&args, "--workers").and_then(|w| w.parse().ok());
-            let halt = flag_value(&args, "--halt-after").and_then(|k| k.parse().ok());
-            let job = client
-                .submit_shard(&plan, &shard, strategy.as_deref(), workers, halt)
-                .unwrap_or_else(|e| die(&e));
-            println!("{job}");
-        }
-        "federate" => {
-            let jobs: Vec<String> = positional[1..].iter().map(|s| (*s).clone()).collect();
-            if jobs.is_empty() {
-                eprintln!("aeroctl: federate requires one or more job ids");
-                usage();
-            }
-            let v = client.federate(&jobs).unwrap_or_else(|e| die(&e));
-            use aerothermo_numerics::json::Value;
-            let report = v.get("report");
-            let merged = report
-                .and_then(|r| r.get("merged"))
-                .and_then(Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let planned = report
-                .and_then(|r| r.get("plan_cases"))
-                .and_then(Value::as_f64)
-                .unwrap_or(f64::NAN);
-            let complete = report.and_then(|r| r.get("complete")) == Some(&Value::Bool(true));
-            println!(
-                "federated {merged}/{planned} case(s) -> {}{}",
-                v.get("store").and_then(Value::as_str).unwrap_or("?"),
-                if complete { "" } else { " [INCOMPLETE]" },
-            );
-            if !complete {
-                std::process::exit(4);
-            }
         }
         "status" => {
             let Some(job) = positional.get(1) else {

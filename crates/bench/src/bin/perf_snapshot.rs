@@ -29,6 +29,10 @@
 //! The comparison exits nonzero when any kernel's normalized minimum
 //! regresses beyond `--tol` (default 0.25), which is how CI gates on
 //! `BENCH_baseline.json`.
+//! `--compare` then runs the ratchet matrix (see `ratchet`) and appends
+//! its verdict table to `$GITHUB_STEP_SUMMARY` when that is set.
+
+use std::io::Write as _;
 
 use aerothermo_atmosphere::trajectory::{EntryConditions, StopConditions, Vehicle};
 use aerothermo_atmosphere::us76::Us76;
@@ -597,7 +601,7 @@ fn run_suite() {
 /// scheduler noise dominate any real change.
 const MIN_COMPARABLE_NS: f64 = 500.0;
 
-fn load_snapshot(path: &str) -> (f64, Vec<(String, f64)>) {
+fn load_snapshot(path: &str) -> (Value, f64, Vec<(String, f64)>) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read snapshot {path}: {e}"));
     let doc = json::parse(&text).unwrap_or_else(|e| panic!("bad snapshot {path}: {e}"));
@@ -619,14 +623,14 @@ fn load_snapshot(path: &str) -> (f64, Vec<(String, f64)>) {
             }
         }
     }
-    (calib, spans)
+    (doc, calib, spans)
 }
 
 /// Compare two snapshots; returns the process exit code (0 = within
-/// tolerance, 1 = regression).
+/// tolerance and the ratchet matrix holds, 1 = regression).
 fn compare(base_path: &str, cand_path: &str, tol: f64) -> i32 {
-    let (base_calib, base_spans) = load_snapshot(base_path);
-    let (cand_calib, cand_spans) = load_snapshot(cand_path);
+    let (base_doc, base_calib, base_spans) = load_snapshot(base_path);
+    let (cand_doc, cand_calib, cand_spans) = load_snapshot(cand_path);
     println!(
         "perf comparison: {base_path} -> {cand_path} (tol {:.0}%, calibration {base_calib:.0} -> {cand_calib:.0} ns)",
         tol * 100.0
@@ -660,14 +664,127 @@ fn compare(base_path: &str, cand_path: &str, tol: f64) -> i32 {
             println!("  {label:<24} new span (no baseline; not gated)");
         }
     }
+    let mut code = i32::from(regressions > 0);
     if regressions > 0 {
         eprintln!(
             "FAIL: {regressions} kernel(s) regressed beyond {:.0}%",
             tol * 100.0
         );
-        1
     } else {
         println!("PASS: no kernel regressed beyond {:.0}%", tol * 100.0);
-        0
     }
+
+    let (table, failures) = ratchet(&base_doc, &cand_doc);
+    println!("{}", table.replace('|', " ").replace('#', ""));
+    if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| writeln!(f, "{table}"))
+            .unwrap_or_else(|e| panic!("cannot append to {path}: {e}"));
+    }
+    if failures.is_empty() {
+        println!("ratchet matrix: all kernels within ceilings, one-shot marks hold");
+    } else {
+        eprintln!("ratchet failures:\n  {}", failures.join("\n  "));
+        code = 1;
+    }
+    code
+}
+
+/// Kernels the ratchet holds within 25% of the baseline's normalized mean.
+const RATCHET_KERNELS: [&str; 6] = [
+    "euler_step",
+    "ns_step",
+    "equilibrium_state",
+    "equilibrium_batch",
+    "surrogate_query",
+    "trajectory_history",
+];
+
+/// The ratchet matrix on calibration-normalized means (`mean_ns /
+/// calibration_ns`): each of [`RATCHET_KERNELS`] within 25% of the
+/// baseline; a one-shot mark on the committed baseline's `euler_step`,
+/// under the pre-face-based-assembly cost (1712132/21268885) and half the
+/// pre-SoA/SIMD cost (645077/20676643), so structural wins are never
+/// silently given back; and an absolute floor of 10⁶ queries/s on the
+/// candidate's fastest `surrogate_query` (4096 queries per occurrence).
+/// Returns the Markdown verdict table and one message per failed check.
+fn ratchet(base: &Value, cand: &Value) -> (String, Vec<String>) {
+    let span = |doc: &Value, k: &str, stat: &str| doc.get("spans")?.get(k)?.get(stat)?.as_f64();
+    let norm = |doc: &Value, k: &str| {
+        Some(span(doc, k, "mean_ns")? / doc.get("calibration_ns")?.as_f64()?)
+    };
+    let mut table = String::from(
+        "## Perf ratchet matrix\n\n\
+         | kernel | baseline norm | ceiling | candidate norm | verdict |\n\
+         |---|---|---|---|---|",
+    );
+    let mut row = |k: &str, b: f64, ceiling: f64, c: Option<f64>, verdict: &str| {
+        let c = c.map_or_else(|| "-".to_string(), |c| format!("{c:.6}"));
+        table.push_str(&format!(
+            "\n| {k} | {b:.6} | {ceiling:.6} | {c} | {verdict} |"
+        ));
+    };
+    let mut failures = Vec::new();
+    for k in RATCHET_KERNELS {
+        let Some(b) = norm(base, k) else {
+            failures.push(format!("{k}: missing from committed baseline"));
+            continue;
+        };
+        let ceiling = b * 1.25;
+        match norm(cand, k) {
+            None => {
+                failures.push(format!("{k}: missing from candidate snapshot"));
+                row(k, b, ceiling, None, "MISSING");
+            }
+            Some(c) if c > ceiling => {
+                failures.push(format!("{k}: normalized {c:.6} > ceiling {ceiling:.6}"));
+                row(k, b, ceiling, Some(c), "REGRESSION");
+            }
+            Some(c) => row(k, b, ceiling, Some(c), "ok"),
+        }
+    }
+    let mark = (1_712_132.0 / 21_268_885.0_f64).min(0.5 * 645_077.0 / 20_676_643.0);
+    if let Some(b) = norm(base, "euler_step") {
+        let lost = b > mark;
+        if lost {
+            failures.push(format!(
+                "euler_step: committed baseline {b:.6} over one-shot mark {mark:.6}"
+            ));
+        }
+        let k = "euler_step (one-shot mark)";
+        row(
+            k,
+            mark,
+            mark,
+            Some(b),
+            if lost { "MARK LOST" } else { "ok" },
+        );
+    }
+    let floor = 1.0e6;
+    match span(cand, "surrogate_query", "min_ns") {
+        None => {
+            failures.push("surrogate_query: missing from candidate snapshot (qps floor)".into())
+        }
+        Some(min_ns) => {
+            let qps = 4096.0 / min_ns * 1e9;
+            let below = qps < floor;
+            if below {
+                failures.push(format!(
+                    "surrogate_query: {qps:.3e} queries/sec below floor {floor:.1e}"
+                ));
+            }
+            let k = "surrogate_query (queries/sec floor)";
+            row(
+                k,
+                floor,
+                floor,
+                Some(qps),
+                if below { "BELOW FLOOR" } else { "ok" },
+            );
+        }
+    }
+    (table, failures)
 }

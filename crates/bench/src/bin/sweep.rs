@@ -16,8 +16,8 @@
 //! `--shard=i/n` runs only shard `i` of an `n`-way deterministic plan
 //! partition (`--shard-strategy=round_robin|cost_balanced`) into a
 //! shard-stamped store (`<out>-shard{i}of{n}.jsonl`); any process
-//! computes the same partition from the plan alone, so shards need no
-//! coordination. `sweep federate --plan=... STORE...` then merges the
+//! computes the same partition from the plan alone, so shards run
+//! independently. `sweep federate --plan=... STORE...` then merges the
 //! shard stores back into the canonical plan-order store, reporting
 //! gaps/overlaps/torn tails (under `--strict`, an incomplete federation
 //! exits 4).

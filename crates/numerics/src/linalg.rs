@@ -130,17 +130,6 @@ pub fn lu_solve(lu: &[f64], n: usize, piv: &[usize], x: &mut [f64]) -> Result<()
     Ok(())
 }
 
-/// Convenience: solve `A x = b` for dense `A` (destroyed) and `b` (overwritten
-/// with the solution).
-///
-/// # Errors
-/// Propagates factorization/solve failures.
-pub fn solve_dense(a: &mut [f64], n: usize, b: &mut [f64]) -> Result<(), LinalgError> {
-    let mut piv = vec![0usize; n];
-    lu_factor(a, n, &mut piv)?;
-    lu_solve(a, n, &piv, b)
-}
-
 /// Dense matrix-vector product `y = A x` for row-major `A` (`n × n`).
 ///
 /// # Panics
@@ -197,6 +186,14 @@ pub fn invert(a: &mut [f64], n: usize) -> Result<(), LinalgError> {
 mod tests {
     use super::*;
 
+    /// Solve `A x = b` through [`lu_factor`] + [`lu_solve`]; `a` is
+    /// destroyed and `b` overwritten with the solution.
+    fn solve(a: &mut [f64], n: usize, b: &mut [f64]) -> Result<(), LinalgError> {
+        let mut piv = vec![0usize; n];
+        lu_factor(a, n, &mut piv)?;
+        lu_solve(a, n, &piv, b)
+    }
+
     fn residual(a: &[f64], n: usize, x: &[f64], b: &[f64]) -> f64 {
         let mut ax = vec![0.0; n];
         matvec(a, n, x, &mut ax);
@@ -212,7 +209,7 @@ mod tests {
         let b0 = [8.0, -11.0, -3.0];
         let mut a = a0;
         let mut b = b0;
-        solve_dense(&mut a, 3, &mut b).unwrap();
+        solve(&mut a, 3, &mut b).unwrap();
         assert!((b[0] - 2.0).abs() < 1e-12);
         assert!((b[1] - 3.0).abs() < 1e-12);
         assert!((b[2] + 1.0).abs() < 1e-12);
@@ -224,7 +221,7 @@ mod tests {
         let a0 = [0.0, 1.0, 1.0, 0.0];
         let mut a = a0;
         let mut b = [3.0, 5.0];
-        solve_dense(&mut a, 2, &mut b).unwrap();
+        solve(&mut a, 2, &mut b).unwrap();
         assert!((b[0] - 5.0).abs() < 1e-14);
         assert!((b[1] - 3.0).abs() < 1e-14);
     }
@@ -234,7 +231,7 @@ mod tests {
         let mut a = [1.0, 2.0, 2.0, 4.0];
         let mut b = [1.0, 2.0];
         assert!(matches!(
-            solve_dense(&mut a, 2, &mut b),
+            solve(&mut a, 2, &mut b),
             Err(LinalgError::Singular(_))
         ));
     }
@@ -273,7 +270,7 @@ mod tests {
             let b0: Vec<f64> = (0..n).map(|_| next()).collect();
             let mut a = a0.clone();
             let mut x = b0.clone();
-            solve_dense(&mut a, n, &mut x).unwrap();
+            solve(&mut a, n, &mut x).unwrap();
             assert!(residual(&a0, n, &x, &b0) < 1e-10, "n={n}");
         }
     }

@@ -5,7 +5,7 @@
 //! robustly". This module provides a line-searched Newton with a
 //! finite-difference Jacobian fallback.
 
-use crate::linalg::{solve_dense, LinalgError};
+use crate::linalg::{lu_factor, lu_solve, LinalgError};
 use crate::telemetry::{counters, Counter};
 use crate::trace;
 
@@ -97,6 +97,13 @@ pub fn newton_solve(
     let mut f = vec![0.0; n];
     let mut ftrial = vec![0.0; n];
     let mut jac = vec![0.0; n * n];
+    // LU workspace, refilled from `jac` before every factorization.
+    let mut jcopy = vec![0.0; n * n];
+    let mut piv = vec![0usize; n];
+    let mut solve = |jcopy: &mut [f64], step: &mut [f64]| {
+        lu_factor(jcopy, n, &mut piv)?;
+        lu_solve(jcopy, n, &piv, step)
+    };
     let mut step = vec![0.0; n];
     let mut xpert = vec![0.0; n];
 
@@ -141,8 +148,8 @@ pub fn newton_solve(
         for s in step.iter_mut() {
             *s = -*s;
         }
-        let mut jcopy = jac.clone();
-        if solve_dense(&mut jcopy, n, &mut step).is_err() {
+        jcopy.copy_from_slice(&jac);
+        if solve(&mut jcopy, &mut step).is_err() {
             // Singular (or numerically rank-deficient) Jacobian: fall back to
             // Levenberg-Marquardt damping, escalating μ until the system
             // solves. Rank deficiency happens legitimately when a residual
@@ -160,7 +167,7 @@ pub fn newton_solve(
                 for k in 0..n {
                     jcopy[k * n + k] += mu;
                 }
-                if solve_dense(&mut jcopy, n, &mut step).is_ok() {
+                if solve(&mut jcopy, &mut step).is_ok() {
                     solved = true;
                     break;
                 }

@@ -10,28 +10,22 @@
 //!             [--accept-threads=N] [--corridor=H0,H1,V0,V1]
 //!             [--grid=NH,NV] [--tolerance=T] [--nose-radius=R]
 //!             [--prebuild]
-//! aerothermod --coordinate=N --plan=PATH --data-dir=DIR [--workers=N]
-//!             [--shard-strategy=round_robin|cost_balanced]
 //! ```
 //!
-//! Coordinator mode (`--coordinate=N`) runs no daemon itself: it spawns
-//! `N` per-shard child daemons under the data directory, resumes any
-//! shard whose child dies, federates the shard stores into
-//! `DIR/federated.jsonl`, and exits (0 on a complete federation).
+//! `--workers` and `--accept-threads` are capped at `MAX_WORKERS`
+//! (1024). To split one plan across processes or hosts, run
+//! `sweep --shard=i/n` per shard and merge with `sweep federate`.
 //!
-//! Exit codes: 0 clean shutdown, 2 usage error, 3 startup failure,
-//! 4 incomplete federation (coordinator mode).
+//! Exit codes: 0 clean shutdown, 2 usage error, 3 startup failure
+//! (including a flag above its cap).
 
-use aerothermo_service::{run_coordinated_sweep, CoordinatorConfig, Daemon, ServiceConfig};
-use aerothermo_sweep::{ShardStrategy, SweepPlan};
+use aerothermo_service::{Client, Daemon, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: aerothermod --socket=PATH --data-dir=DIR [--workers=N] \
          [--accept-threads=N] [--corridor=H0,H1,V0,V1] [--grid=NH,NV] \
-         [--tolerance=T] [--nose-radius=R] [--prebuild]\n\
-         \x20      aerothermod --coordinate=N --plan=PATH --data-dir=DIR \
-         [--workers=N] [--shard-strategy=round_robin|cost_balanced]"
+         [--tolerance=T] [--nose-radius=R] [--prebuild]"
     );
     std::process::exit(2);
 }
@@ -62,74 +56,9 @@ fn parse_corridor(s: &str) -> ((f64, f64), (f64, f64)) {
     ((nums[0], nums[1]), (nums[2], nums[3]))
 }
 
-/// `--coordinate=N` mode: orchestrate N child daemons, federate, exit.
-fn run_coordinator(
-    shards: usize,
-    plan_path: &str,
-    data_dir: &str,
-    workers: usize,
-    strategy: ShardStrategy,
-) -> ! {
-    let plan = match SweepPlan::load(plan_path) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("aerothermod: loading plan '{plan_path}': {e}");
-            std::process::exit(2);
-        }
-    };
-    let exe = match std::env::current_exe() {
-        Ok(p) => p.to_string_lossy().into_owned(),
-        Err(e) => {
-            eprintln!("aerothermod: resolving own binary path: {e}");
-            std::process::exit(3);
-        }
-    };
-    let mut cfg = CoordinatorConfig::new(&exe, data_dir, shards);
-    cfg.workers = workers;
-    cfg.strategy = strategy;
-    println!(
-        "aerothermod coordinating plan '{}' ({} cases) across {} shard daemon(s) ({})",
-        plan.name,
-        plan.cases.len(),
-        cfg.shards,
-        cfg.strategy.name(),
-    );
-    match run_coordinated_sweep(&plan, &cfg) {
-        Ok(done) => {
-            for s in &done.shards {
-                println!(
-                    "  shard {} job {} store {}{}",
-                    s.shard,
-                    s.job,
-                    s.store,
-                    if s.respawns > 0 {
-                        format!(" ({} respawn(s))", s.respawns)
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            println!("{}", done.report.summary());
-            println!("canonical store written to {}", done.store_path);
-            if done.report.complete() {
-                std::process::exit(0);
-            }
-            eprintln!("aerothermod: federation incomplete");
-            std::process::exit(aerothermo_sweep::report::STRICT_EXIT_CODE);
-        }
-        Err(e) => {
-            eprintln!("aerothermod: coordinated sweep failed: {e}");
-            std::process::exit(3);
-        }
-    }
-}
-
 fn main() {
     let mut cfg = ServiceConfig::default();
     let mut prebuild = false;
-    let mut coordinate: Option<usize> = None;
-    let mut plan_path: Option<String> = None;
-    let mut strategy = ShardStrategy::default();
     for arg in std::env::args().skip(1) {
         let (flag, value) = match arg.split_once('=') {
             Some((f, v)) => (f.to_string(), v.to_string()),
@@ -157,32 +86,12 @@ fn main() {
                 Err(_) => usage(),
             },
             "--prebuild" => prebuild = true,
-            "--coordinate" => match value.parse() {
-                Ok(n) if n >= 1 => coordinate = Some(n),
-                _ => usage(),
-            },
-            "--plan" => plan_path = Some(value),
-            "--shard-strategy" => match ShardStrategy::parse(&value) {
-                Ok(s) => strategy = s,
-                Err(e) => {
-                    eprintln!("aerothermod: {e}");
-                    usage()
-                }
-            },
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("aerothermod: unknown flag '{other}'");
                 usage()
             }
         }
-    }
-
-    if let Some(shards) = coordinate {
-        let Some(plan) = plan_path else {
-            eprintln!("aerothermod: --coordinate requires --plan=PATH");
-            usage()
-        };
-        run_coordinator(shards, &plan, &cfg.data_dir, cfg.workers, strategy);
     }
 
     let daemon = match Daemon::start(cfg.clone()) {
@@ -205,8 +114,9 @@ fn main() {
         // Warm the resident surrogate before the first query arrives by
         // sending ourselves a throwaway in-corridor query.
         let ((h0, h1), (v0, v1)) = cfg.corridor;
-        let mut me = aerothermo_service::Client::connect(&cfg.socket_path).expect("self-connect");
-        match me.query(0.5 * (h0 + h1), 0.5 * (v0 + v1)) {
+        match Client::connect(&cfg.socket_path)
+            .and_then(|mut me| me.query(0.5 * (h0 + h1), 0.5 * (v0 + v1)))
+        {
             Ok(_) => println!("aerothermod surrogate prebuilt"),
             Err(e) => eprintln!("aerothermod: prebuild failed: {e}"),
         }

@@ -118,48 +118,11 @@ impl Client {
         workers: Option<usize>,
         halt_after: Option<usize>,
     ) -> Result<String, SolverError> {
-        self.submit_plan(plan, None, workers, halt_after)
-    }
-
-    /// Submit one shard of `plan` (`shard` is the `i/n` slice string;
-    /// `strategy` is `round_robin`/`cost_balanced`, daemon default when
-    /// `None`), returning the assigned job id.
-    ///
-    /// # Errors
-    /// Plan/shard validation and transport failures.
-    pub fn submit_shard(
-        &mut self,
-        plan: &SweepPlan,
-        shard: &str,
-        strategy: Option<&str>,
-        workers: Option<usize>,
-        halt_after: Option<usize>,
-    ) -> Result<String, SolverError> {
-        self.submit_plan(plan, Some((shard, strategy)), workers, halt_after)
-    }
-
-    /// The request of `submit`, or of `submit_shard` when `shard` holds
-    /// the slice and strategy.
-    fn submit_plan(
-        &mut self,
-        plan: &SweepPlan,
-        shard: Option<(&str, Option<&str>)>,
-        workers: Option<usize>,
-        halt_after: Option<usize>,
-    ) -> Result<String, SolverError> {
-        let op = if shard.is_some() {
-            "submit_shard"
-        } else {
-            "submit"
-        };
         // The plan serializer is multi-line for on-disk readability;
         // collapse it for the line protocol (embedded string newlines
         // are escaped by the serializer, so this is purely structural).
         let plan_json = plan.to_json().replace('\n', " ");
-        let v = self.request(op, |o| {
-            if let Some((shard, strategy)) = shard {
-                o.put("shard", shard).put_some("strategy", strategy);
-            }
+        let v = self.request("submit", |o| {
             o.put_some("workers", workers);
             o.put_some("halt_after", halt_after);
             o.put("plan", Raw(&plan_json));
@@ -167,20 +130,7 @@ impl Client {
         v.get("job")
             .and_then(Value::as_str)
             .map(str::to_string)
-            .ok_or_else(|| SolverError::BadInput(format!("{op} response missing 'job'")))
-    }
-
-    /// Federate the stores of finished shard `jobs` into the canonical
-    /// store; the response carries the merged store path and the
-    /// federation report object.
-    ///
-    /// # Errors
-    /// Unknown/running/mismatched jobs, conflicting overlaps, transport
-    /// failures.
-    pub fn federate(&mut self, jobs: &[String]) -> Result<Value, SolverError> {
-        self.request("federate", |o| {
-            o.put("jobs", jobs);
-        })
+            .ok_or_else(|| SolverError::BadInput("submit response missing 'job'".into()))
     }
 
     /// Poll the status object for `job`.

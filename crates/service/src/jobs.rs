@@ -8,27 +8,22 @@
 //! {data_dir}/job-0007.plan.json     the submitted plan, verbatim schema
 //! {data_dir}/job-0007.store.jsonl   crash-safe per-case result journal
 //! {data_dir}/job-0007.events.jsonl  lifecycle event stream (heartbeats)
-//! {data_dir}/job-0007.shard.json    shard sidecar (sharded jobs only)
 //! ```
-//!
-//! A *sharded* job (`submit_shard`) persists the **full** plan plus a
-//! shard sidecar; the slice is recomputed from both on every run and
-//! recovery, so resume-after-SIGKILL works identically for shards. The
-//! registry's `federate` merges the stores of a set of shard jobs back
-//! into one canonical store through [`aerothermo_sweep::shard`].
 //!
 //! The plan file is the registry: a startup scan rebuilds every job from
 //! disk, classifying each as [`JobPhase::Completed`] (every case has a
 //! completed record) or [`JobPhase::Interrupted`] (the daemon died with
 //! work outstanding — a `resume` request picks it back up through the
-//! store's skip logic).
+//! store's skip logic). A `job-NNNN.shard.json` sidecar left by an
+//! older daemon's shard job stops the scan with an error: recovered as a
+//! full-plan job, its `resume` would run the whole plan into the shard's
+//! store. Shards run through `sweep --shard=i/n` instead.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use aerothermo_numerics::telemetry::SolverError;
-use aerothermo_sweep::shard::{federate_to_store, shard_plan, FederationReport, ShardSpec};
 use aerothermo_sweep::store::completed_ids;
 use aerothermo_sweep::{load_records, run_sweep, SweepOptions, SweepPlan};
 
@@ -101,9 +96,6 @@ pub struct Job {
     /// Cooperative cancel flag checked by the sweep worker loop. Reset
     /// on resume.
     pub cancel: Arc<AtomicBool>,
-    /// The shard slice this job runs, for sharded jobs (`total` counts
-    /// the slice, not the full plan).
-    pub shard: Option<ShardSpec>,
     phase: Mutex<JobPhase>,
     error: Mutex<Option<String>>,
 }
@@ -127,12 +119,7 @@ impl Job {
     /// phase and progress as records land. Blocks until the sweep
     /// returns; callers spawn it on a detached thread.
     pub fn run(self: &Arc<Self>, workers: usize, halt_after: Option<usize>) {
-        // Sharded jobs recompute their slice from the full plan + sidecar
-        // spec — the same pure partition every shard of the run computes.
-        let plan = match SweepPlan::load(&self.plan_path).and_then(|p| match &self.shard {
-            Some(spec) => shard_plan(&p, spec),
-            None => Ok(p),
-        }) {
+        let plan = match SweepPlan::load(&self.plan_path) {
             Ok(p) => p,
             Err(e) => {
                 *relock(&self.error) = Some(e.to_string());
@@ -188,8 +175,9 @@ impl JobRegistry {
     /// the job table from the plan files found there.
     ///
     /// # Errors
-    /// [`SolverError::BadInput`] on unreadable directories or corrupt
-    /// plan/store files — a daemon must not silently shadow prior jobs.
+    /// [`SolverError::BadInput`] on unreadable directories, corrupt
+    /// plan/store files, or a shard sidecar — a daemon must not silently
+    /// shadow or misread prior jobs.
     pub fn open(data_dir: &str) -> Result<Self, SolverError> {
         std::fs::create_dir_all(data_dir)
             .map_err(|e| SolverError::BadInput(format!("creating data dir '{data_dir}': {e}")))?;
@@ -213,6 +201,14 @@ impl JobRegistry {
                 if let Some(seq) = rest.split('.').next().and_then(|s| s.parse::<usize>().ok()) {
                     max_seq = max_seq.max(seq);
                 }
+                if rest.ends_with(".shard.json") {
+                    return Err(SolverError::BadInput(format!(
+                        "'{data_dir}/{name}' is a shard sidecar left by an older \
+                         daemon's submit_shard job, and this daemon runs no shard jobs; \
+                         move the job's files out of the data dir and run the shard with \
+                         `sweep --plan=PLAN --shard=i/n [--resume]` instead"
+                    )));
+                }
             }
             let Some(id) = name
                 .strip_suffix(".plan.json")
@@ -228,18 +224,12 @@ impl JobRegistry {
     }
 
     /// Rebuild one job from its on-disk files, classifying it as
-    /// completed or interrupted by comparing the store against the plan
-    /// (the shard *slice* of the plan when a shard sidecar is present).
+    /// completed or interrupted by comparing the store against the plan.
     fn recover(&self, id: &str) -> Result<Arc<Job>, SolverError> {
         let (plan_path, store_path, events_path) = self.paths(id);
         let plan = SweepPlan::load(&plan_path)?;
-        let shard = self.load_shard_sidecar(id)?;
-        let total = match &shard {
-            Some(spec) => shard_plan(&plan, spec)?.cases.len(),
-            None => plan.cases.len(),
-        };
         let done = completed_ids(&load_records(&store_path)?).len();
-        let phase = if done >= total {
+        let phase = if done >= plan.cases.len() {
             JobPhase::Completed
         } else {
             JobPhase::Interrupted
@@ -250,10 +240,9 @@ impl JobRegistry {
             store_path,
             events_path,
             plan_name: plan.name.clone(),
-            total,
+            total: plan.cases.len(),
             done: AtomicUsize::new(done),
             cancel: Arc::new(AtomicBool::new(false)),
-            shard,
             phase: Mutex::new(phase),
             error: Mutex::new(None),
         }))
@@ -268,21 +257,6 @@ impl JobRegistry {
         )
     }
 
-    fn shard_sidecar_path(&self, id: &str) -> String {
-        format!("{}/{id}.shard.json", self.data_dir)
-    }
-
-    fn load_shard_sidecar(&self, id: &str) -> Result<Option<ShardSpec>, SolverError> {
-        let path = self.shard_sidecar_path(id);
-        match std::fs::read_to_string(&path) {
-            Ok(doc) => ShardSpec::from_json_doc(&doc).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(SolverError::BadInput(format!(
-                "reading shard sidecar '{path}': {e}"
-            ))),
-        }
-    }
-
     /// Persist `plan` as a new job in phase [`JobPhase::Running`] and
     /// return it. The caller is responsible for actually spawning
     /// [`Job::run`] — registration and execution are split so the
@@ -292,49 +266,20 @@ impl JobRegistry {
     /// [`SolverError::BadInput`] if the plan fails validation or the
     /// plan file cannot be written.
     pub fn submit(&self, plan: &SweepPlan) -> Result<Arc<Job>, SolverError> {
-        self.submit_sharded(plan, None)
-    }
-
-    /// [`JobRegistry::submit`] for one shard of `plan`: the **full** plan
-    /// is persisted (the slice is a pure function of it) together with a
-    /// shard sidecar, and the job runs/resumes only its slice.
-    ///
-    /// # Errors
-    /// As [`JobRegistry::submit`], plus sidecar write failures.
-    pub fn submit_shard(&self, plan: &SweepPlan, spec: ShardSpec) -> Result<Arc<Job>, SolverError> {
-        self.submit_sharded(plan, Some(spec))
-    }
-
-    fn submit_sharded(
-        &self,
-        plan: &SweepPlan,
-        shard: Option<ShardSpec>,
-    ) -> Result<Arc<Job>, SolverError> {
         plan.validate()?;
-        let total = match &shard {
-            Some(spec) => shard_plan(plan, spec)?.cases.len(),
-            None => plan.cases.len(),
-        };
         let seq = self.next.fetch_add(1, Ordering::SeqCst);
         let id = format!("job-{seq:04}");
         let (plan_path, store_path, events_path) = self.paths(&id);
         plan.save(&plan_path)?;
-        if let Some(spec) = &shard {
-            let path = self.shard_sidecar_path(&id);
-            std::fs::write(&path, spec.to_json()).map_err(|e| {
-                SolverError::BadInput(format!("writing shard sidecar '{path}': {e}"))
-            })?;
-        }
         let job = Arc::new(Job {
             id: id.clone(),
             plan_path,
             store_path,
             events_path,
             plan_name: plan.name.clone(),
-            total,
+            total: plan.cases.len(),
             done: AtomicUsize::new(0),
             cancel: Arc::new(AtomicBool::new(false)),
-            shard,
             phase: Mutex::new(JobPhase::Running),
             error: Mutex::new(None),
         });
@@ -370,53 +315,6 @@ impl JobRegistry {
         job.cancel.store(false, Ordering::SeqCst);
         job.set_phase(JobPhase::Running);
         Ok(job)
-    }
-
-    /// Merge the stores of `ids` (shard jobs of one plan) into a
-    /// canonical federated store named after the first job
-    /// (`{first}.federated.jsonl` in the data dir), returning its path
-    /// and the [`FederationReport`].
-    ///
-    /// All jobs must exist, none may be running (its store is still
-    /// being appended), and all must carry the same plan name; the full
-    /// plan is read from the first job's plan file — for sharded jobs
-    /// that is the whole plan, which is exactly the federation target.
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] on unknown/running/mismatched jobs and
-    /// on any [`federate_to_store`] failure (conflicting overlaps,
-    /// corrupt stores).
-    pub fn federate(&self, ids: &[String]) -> Result<(String, FederationReport), SolverError> {
-        let first = ids
-            .first()
-            .ok_or_else(|| SolverError::BadInput("federate needs at least one job".into()))?;
-        let mut stores = Vec::with_capacity(ids.len());
-        let mut plan_name: Option<String> = None;
-        for id in ids {
-            let job = self
-                .get(id)
-                .ok_or_else(|| SolverError::BadInput(format!("unknown job '{id}'")))?;
-            if job.phase() == JobPhase::Running {
-                return Err(SolverError::BadInput(format!(
-                    "job '{id}' is still running; wait or cancel before federating"
-                )));
-            }
-            match &plan_name {
-                None => plan_name = Some(job.plan_name.clone()),
-                Some(name) if *name != job.plan_name => {
-                    return Err(SolverError::BadInput(format!(
-                        "federate plan mismatch: '{}' ({name}) vs '{id}' ({})",
-                        first, job.plan_name
-                    )));
-                }
-                Some(_) => {}
-            }
-            stores.push(job.store_path.clone());
-        }
-        let plan = SweepPlan::load(&self.paths(first).0)?;
-        let out = format!("{}/{first}.federated.jsonl", self.data_dir);
-        let report = federate_to_store(&plan, &stores, &out)?;
-        Ok((out, report))
     }
 }
 
@@ -518,45 +416,29 @@ mod tests {
     }
 
     #[test]
-    fn shard_jobs_slice_recover_and_federate() {
-        let dir = std::env::temp_dir().join(format!("aerothermod-shard-{}", std::process::id()));
+    fn shard_sidecar_in_the_data_dir_is_rejected_by_name() {
+        // Recovered as a plain job, an older daemon's shard job would
+        // `resume` the whole plan into the shard's store.
+        let dir = std::env::temp_dir().join(format!("aerothermod-sidecar-{}", std::process::id()));
         let dir = dir.to_str().unwrap().to_string();
         std::fs::remove_dir_all(&dir).ok();
-        let plan = tiny_plan(5);
-        let spec = |i| ShardSpec::new(i, 2, Default::default()).unwrap();
 
         let reg = JobRegistry::open(&dir).unwrap();
-        let j0 = reg.submit_shard(&plan, spec(0)).unwrap();
-        let j1 = reg.submit_shard(&plan, spec(1)).unwrap();
-        assert_eq!(j0.total, 3, "round-robin 0/2 of 5 cases");
-        assert_eq!(j1.total, 2);
-        // Shard 0 is interrupted after 1 of its 3 cases; shard 1 finishes.
-        j0.run(1, Some(1));
-        j1.run(1, None);
-        assert_eq!(j1.phase(), JobPhase::Completed);
+        let job = reg.submit(&tiny_plan(3)).unwrap();
+        let sidecar = format!("{dir}/{}.shard.json", job.id);
+        std::fs::write(
+            &sidecar,
+            r#"{"index": 1, "count": 2, "strategy": "round_robin"}"#,
+        )
+        .unwrap();
 
-        // Restart: sidecars classify against the slice, not the full plan.
-        let reg2 = JobRegistry::open(&dir).unwrap();
-        let b0 = reg2.get(&j0.id).unwrap();
-        assert_eq!(b0.shard, Some(spec(0)));
-        assert_eq!(b0.total, 3);
-        assert_eq!(b0.phase(), JobPhase::Interrupted);
-        assert_eq!(reg2.get(&j1.id).unwrap().phase(), JobPhase::Completed);
-
-        // Federating with a shard outstanding reports the gap; after the
-        // resume completes shard 0, federation is complete and canonical.
-        let ids = vec![j0.id.clone(), j1.id.clone()];
-        let (_, partial) = reg2.federate(&ids).unwrap();
-        assert!(!partial.complete());
-        let resumed = reg2.resume(&j0.id).unwrap();
-        resumed.run(1, None);
-        assert_eq!(resumed.phase(), JobPhase::Completed);
-        let (out, report) = reg2.federate(&ids).unwrap();
-        assert!(report.complete(), "{}", report.summary());
-        let merged = load_records(&out).unwrap();
-        assert_eq!(merged.len(), 5);
-        let ids_in_order: Vec<&str> = merged.iter().map(|r| r.id.as_str()).collect();
-        assert_eq!(ids_in_order, ["c0", "c1", "c2", "c3", "c4"], "plan order");
+        match JobRegistry::open(&dir) {
+            Err(SolverError::BadInput(msg)) => {
+                assert!(msg.contains(&sidecar), "{msg}");
+                assert!(msg.contains("--shard=i/n"), "{msg}");
+            }
+            other => panic!("expected BadInput naming the sidecar, got {other:?}"),
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,20 +22,23 @@
 //!   interrupted jobs, and `resume` re-enters the store's skip logic.
 //! * [`client`] — a blocking [`client::Client`] used by `aeroctl`, the
 //!   integration drills, and CI.
-//! * [`coordinator`] — distributed sweeps: one coordinator process
-//!   spawning per-shard child daemons, resuming any shard that dies, and
-//!   federating the shard stores into the canonical plan-order store.
+//!
+//! Splitting a plan across processes is not a daemon job: `sweep
+//! --shard=i/n` runs one slice and `sweep federate` merges the shard
+//! stores (see [`aerothermo_sweep::shard`]). On one host, a single
+//! `submit` with more `workers` does the same work without federation.
 //!
 //! # Protocol
 //!
 //! One JSON object per line in each direction. Requests carry an `"op"`
 //! field; responses are `{"ok": true, ...}` or
-//! `{"ok": false, "error": "..."}`. Ops: `ping`, `submit`,
-//! `submit_shard`, `federate`, `status`, `results`, `cancel`, `resume`,
-//! `query`, `query_batch`, `metrics`, `shutdown`. See `README.md`
-//! § Service for the full schemas. Request lines are capped at
-//! [`MAX_LINE_BYTES`], batches at [`MAX_BATCH_POINTS`], and the sweep
-//! workers one request may ask for at [`MAX_WORKERS`].
+//! `{"ok": false, "error": "..."}`. Ops: `ping`, `submit`, `status`,
+//! `results`, `cancel`, `resume`, `query`, `query_batch`, `metrics`,
+//! `shutdown`. See `README.md` § Service for the full schemas. Request
+//! lines are capped at [`MAX_LINE_BYTES`], batches at
+//! [`MAX_BATCH_POINTS`], and the sweep workers one request may ask for
+//! at [`MAX_WORKERS`]; [`Daemon::start`] holds the configured accept
+//! pool and default worker count to the same cap.
 //!
 //! # Determinism
 //!
@@ -49,13 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod coordinator;
 mod framing;
 pub mod jobs;
 pub mod server;
 
 pub use client::Client;
-pub use coordinator::{run_coordinated_sweep, CoordinatedSweep, CoordinatorConfig};
 pub use jobs::{JobPhase, JobRegistry};
 pub use server::{Daemon, MAX_BATCH_POINTS, MAX_LINE_BYTES, MAX_WORKERS};
 
@@ -67,11 +68,12 @@ pub struct ServiceConfig {
     pub socket_path: String,
     /// Directory holding per-job plan/store/events files.
     pub data_dir: String,
-    /// Accept-pool size: threads concurrently blocked in `accept()`.
-    /// Excess connections queue in the kernel backlog.
+    /// Accept-pool size: threads concurrently blocked in `accept()`, at
+    /// most [`MAX_WORKERS`]. Excess connections queue in the kernel
+    /// backlog.
     pub accept_threads: usize,
-    /// Default sweep worker count for submitted jobs (a `submit` request
-    /// may override per job).
+    /// Default sweep worker count for submitted jobs, at most
+    /// [`MAX_WORKERS`] (a `submit` request may override per job).
     pub workers: usize,
     /// Surrogate corridor `((h_lo, h_hi) [m], (v_lo, v_hi) [m/s])` for
     /// the resident stagnation-heating table. Queries outside it fall

@@ -25,7 +25,7 @@ use aerothermo_gas::eq_table::air9_table;
 use aerothermo_numerics::json::{self, push_f64, Layout, Object, Raw, Value};
 use aerothermo_numerics::telemetry::{counters, Counter, SolverError};
 use aerothermo_numerics::trace;
-use aerothermo_sweep::{ShardSpec, ShardStrategy, SweepPlan};
+use aerothermo_sweep::SweepPlan;
 
 use crate::framing::LineBuf;
 use crate::jobs::{Job, JobRegistry};
@@ -40,9 +40,10 @@ pub const MAX_LINE_BYTES: usize = 16 << 20;
 /// Most points one `query_batch` request may carry.
 pub const MAX_BATCH_POINTS: usize = 65_536;
 
-/// Most sweep workers one `submit`, `submit_shard` or `resume` request
-/// may ask for. Whatever the request, the pool starts no more threads
-/// than the job has cases; this cap bounds what one request can claim.
+/// Most sweep workers one `submit` or `resume` request may ask for, and
+/// the most accept threads or default workers a [`ServiceConfig`] may
+/// set. Whatever the request, the pool starts no more threads than the
+/// job has cases; this cap bounds what one request can claim.
 pub const MAX_WORKERS: usize = 1024;
 
 /// Recover from poisoning instead of cascading (a panicking handler is
@@ -125,9 +126,22 @@ impl Daemon {
     /// same path is an error.
     ///
     /// # Errors
-    /// [`SolverError::BadInput`] on bind failures, a live socket
-    /// occupant, or an unreadable/corrupt data directory.
+    /// [`SolverError::BadInput`] on an `accept_threads` or `workers`
+    /// setting above [`MAX_WORKERS`] (checked before anything is bound or
+    /// spawned), bind failures, a live socket occupant, an
+    /// unreadable/corrupt data directory, or a failed accept-thread
+    /// spawn (the threads already started are stopped first).
     pub fn start(cfg: ServiceConfig) -> Result<Self, SolverError> {
+        for (name, n) in [
+            ("accept_threads", cfg.accept_threads),
+            ("workers", cfg.workers),
+        ] {
+            if n > MAX_WORKERS {
+                return Err(SolverError::BadInput(format!(
+                    "'{name}' is {n}; the limit is {MAX_WORKERS}"
+                )));
+            }
+        }
         let jobs = JobRegistry::open(&cfg.data_dir)?;
         let listener = Arc::new(bind_or_replace_stale(&cfg.socket_path)?);
         let shared = Arc::new(Shared {
@@ -136,23 +150,27 @@ impl Daemon {
             table: Mutex::new(None),
             stop: AtomicBool::new(false),
         });
-        let handles = (0..shared.cfg.accept_threads.max(1))
-            .map(|k| {
-                let shared = Arc::clone(&shared);
-                let listener = Arc::clone(&listener);
-                std::thread::Builder::new()
-                    .name(format!("aerothermod-accept-{k}"))
-                    .spawn(move || accept_loop(&shared, &listener))
-                    .expect("spawning accept thread")
-            })
-            .collect();
+        let mut handles = Vec::new();
+        for k in 0..shared.cfg.accept_threads.max(1) {
+            let (sh, listener) = (Arc::clone(&shared), Arc::clone(&listener));
+            match std::thread::Builder::new()
+                .name(format!("aerothermod-accept-{k}"))
+                .spawn(move || accept_loop(&sh, &listener))
+            {
+                Ok(h) => handles.push(h),
+                Err(e) => {
+                    stop_accepting(&shared, handles.len());
+                    for h in handles {
+                        let _ = h.join();
+                    }
+                    std::fs::remove_file(&shared.cfg.socket_path).ok();
+                    return Err(SolverError::BadInput(format!(
+                        "spawning accept thread {k}: {e}"
+                    )));
+                }
+            }
+        }
         Ok(Self { shared, handles })
-    }
-
-    /// The bound socket path.
-    #[must_use]
-    pub fn socket_path(&self) -> &str {
-        &self.shared.cfg.socket_path
     }
 
     /// Jobs currently known to the registry (recovered + submitted).
@@ -189,6 +207,16 @@ fn bind_or_replace_stale(path: &str) -> Result<UnixListener, SolverError> {
                 .map_err(|e| SolverError::BadInput(format!("binding '{path}': {e}")))
         }
         Err(e) => Err(SolverError::BadInput(format!("binding '{path}': {e}"))),
+    }
+}
+
+/// Raise the stop flag and wake `threads` accept threads blocked in
+/// `accept()` with dummy connects; each drops its dummy after the
+/// post-accept stop check.
+fn stop_accepting(shared: &Shared, threads: usize) {
+    shared.stop.store(true, Ordering::SeqCst);
+    for _ in 0..threads {
+        UnixStream::connect(&shared.cfg.socket_path).ok();
     }
 }
 
@@ -379,7 +407,6 @@ fn status_json(out: &mut String, job: &Job) {
         o.put("total", job.total).put("error", job.error());
         o.put("store", &job.store_path);
         o.put("events", &job.events_path);
-        o.put("shard", job.shard.map(|s| s.to_string()));
     });
 }
 
@@ -495,56 +522,18 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             o.put("pong", true).put("pid", std::process::id());
             o.put("jobs", shared.jobs.list().len());
         }),
-        "submit" | "submit_shard" => {
+        "submit" => {
             let plan_v = v
                 .get("plan")
-                .ok_or_else(|| SolverError::BadInput(format!("{op} missing object 'plan'")))?;
+                .ok_or_else(|| SolverError::BadInput("submit missing object 'plan'".into()))?;
             let plan = SweepPlan::from_json(plan_v)?;
-            let spec = if op == "submit_shard" {
-                let shard_s = v.get("shard").and_then(Value::as_str).ok_or_else(|| {
-                    SolverError::BadInput("submit_shard missing string 'shard' (i/n)".into())
-                })?;
-                let strategy = match v.get("strategy").and_then(Value::as_str) {
-                    Some(s) => ShardStrategy::parse(s)?,
-                    None => ShardStrategy::default(),
-                };
-                Some(ShardSpec::parse(shard_s, strategy)?)
-            } else {
-                None
-            };
             let workers = req_workers(shared, &v)?;
             let halt_after = opt_usize(&v, "halt_after")?;
-            let job = match spec {
-                Some(spec) => shared.jobs.submit_shard(&plan, spec)?,
-                None => shared.jobs.submit(&plan)?,
-            };
+            let job = shared.jobs.submit(&plan)?;
             ok_json(out, |o| {
                 o.put("job", &job.id).put("planned", job.total);
-                o.put_some("shard", spec.map(|s| s.to_string()));
             });
             spawn_run(job, workers, halt_after);
-        }
-        "federate" => {
-            let ids: Vec<String> = v
-                .get("jobs")
-                .and_then(Value::as_array)
-                .ok_or_else(|| SolverError::BadInput("federate missing array 'jobs'".into()))?
-                .iter()
-                .map(|x| {
-                    x.as_str().map(str::to_string).ok_or_else(|| {
-                        SolverError::BadInput("'jobs' entries must be job id strings".into())
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let (store, report) = shared.jobs.federate(&ids)?;
-            // The report serializer is multi-line for on-disk readability;
-            // collapse it for the line protocol (string newlines are
-            // escaped by the writer, so this is purely structural).
-            let report_json = report.to_json().replace('\n', " ");
-            ok_json(out, |o| {
-                o.put("store", &store)
-                    .put("report", Raw(report_json.trim()));
-            });
         }
         "status" => status_json(out, &*req_job(shared, &v)?),
         "results" => {
@@ -602,12 +591,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             });
         }
         "shutdown" => {
-            shared.stop.store(true, Ordering::SeqCst);
-            // Wake siblings blocked in accept(); each accepted dummy is
-            // dropped after the post-accept stop check.
-            for _ in 0..shared.cfg.accept_threads.max(1) {
-                UnixStream::connect(&shared.cfg.socket_path).ok();
-            }
+            stop_accepting(shared, shared.cfg.accept_threads.max(1));
             ok_json(out, |o| {
                 o.put("stopping", true);
             });

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardSpec`] names one slice of a plan (`index`/`count` under a
 //! [`ShardStrategy`]); partitioning is a **pure function of the plan**, so
-//! any process — on any host, with no coordination — computes the same
+//! any process — on any host, independently — computes the same
 //! assignment and runs exactly its slice into a shard-stamped JSONL store
 //! ([`shard_store_path`]). The [`federate`] engine then merges N shard
 //! stores back into the canonical plan-order store, detecting gaps
@@ -18,7 +18,7 @@
 //! the sharding tests and the CI `shard-drill` job hold.
 
 use crate::plan::SweepPlan;
-use crate::store::{load_store, CaseOutcome, CaseStatus, JsonlWriter, StoreLoad};
+use crate::store::{load_store, CaseOutcome, JsonlWriter, StoreLoad};
 use aerothermo_numerics::json::{self, Layout};
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_numerics::trace;
@@ -118,38 +118,6 @@ impl ShardSpec {
     #[must_use]
     pub fn stamp(&self) -> String {
         format!("shard{}of{}", self.index, self.count)
-    }
-
-    /// Serialize to a one-line JSON document (the `aerothermod` job
-    /// sidecar format).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::write_object(Layout::Inline, |o| {
-            o.put("index", self.index).put("count", self.count);
-            o.put("strategy", self.strategy.name());
-        })
-    }
-
-    /// Parse the document written by [`ShardSpec::to_json`].
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] on parse or schema violations.
-    pub fn from_json_doc(doc: &str) -> Result<Self, SolverError> {
-        use aerothermo_numerics::json::{self, Value};
-        let v =
-            json::parse(doc).map_err(|e| SolverError::BadInput(format!("shard spec JSON: {e}")))?;
-        let count_of = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .filter(|x| x.fract() == 0.0 && *x >= 0.0)
-                .map(|x| x as usize)
-                .ok_or_else(|| SolverError::BadInput(format!("shard spec missing count '{key}'")))
-        };
-        let strategy = match v.get("strategy").and_then(Value::as_str) {
-            Some(s) => ShardStrategy::parse(s)?,
-            None => ShardStrategy::default(),
-        };
-        Self::new(count_of("index")?, count_of("count")?, strategy)
     }
 }
 
@@ -457,30 +425,11 @@ pub fn federate_to_store(
     Ok(report)
 }
 
-/// Completed/resumed fraction of the plan across a set of shard stores —
-/// the coordinator's progress probe. Ignores gaps/conflicts (a conflict
-/// still counts each side once); errors only on unreadable stores.
-///
-/// # Errors
-/// [`SolverError::BadInput`] on interior store corruption.
-pub fn federated_done_count(shard_paths: &[String]) -> Result<usize, SolverError> {
-    let mut done = std::collections::HashSet::new();
-    for path in shard_paths {
-        let load = load_store(path)?;
-        let (canonical, _) = canonicalize(load.records);
-        for rec in canonical {
-            if matches!(rec.status, CaseStatus::Completed | CaseStatus::Resumed) {
-                done.insert(rec.id);
-            }
-        }
-    }
-    Ok(done.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{CaseSpec, FlowSpec, GasSpec, LevelSpec};
+    use crate::store::CaseStatus;
 
     fn plan_with_costs(costs: &[f64]) -> SweepPlan {
         let mut plan = SweepPlan::new("shard_test");
@@ -541,8 +490,6 @@ mod tests {
                 "{bad} must not parse"
             );
         }
-        let back = ShardSpec::from_json_doc(&spec.to_json()).unwrap();
-        assert_eq!(back, spec);
         assert_eq!(
             ShardStrategy::parse("cost-balanced").unwrap(),
             ShardStrategy::CostBalanced
@@ -797,12 +744,11 @@ mod tests {
         );
         let out = dir.join("merged.jsonl").to_str().unwrap().to_string();
         std::fs::write(&out, "stale contents\n").unwrap();
-        let report = federate_to_store(&plan, &[s0.clone(), s1.clone()], &out).unwrap();
+        let report = federate_to_store(&plan, &[s0, s1], &out).unwrap();
         assert!(report.complete());
         let records = crate::store::load_records(&out).unwrap();
         let ids: Vec<&str> = records.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, ["c00", "c01"], "stale file truncated, plan order");
-        assert_eq!(federated_done_count(&[s0, s1]).unwrap(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! Golden bytes for every JSON document the workspace writes by hand: the
 //! result-store line, the sweep event stream and its normalized form, the
-//! sweep `--report`, plan files, shard sidecars, the federation report,
+//! sweep `--report`, plan files, the `sweep federate` report,
 //! the flight-recorder black box, the metrics snapshot, the daemon's
 //! control responses and the client's control requests.
 //!
@@ -20,7 +20,7 @@ use aerothermo_service::{Client, Daemon, ServiceConfig};
 use aerothermo_solvers::flight::{PostMortem, StepEvent, StepRecord, Trigger};
 use aerothermo_sweep::events::{normalize, EventSink};
 use aerothermo_sweep::report::SweepReport;
-use aerothermo_sweep::shard::{FederationReport, ShardSpec, ShardStrategy};
+use aerothermo_sweep::shard::FederationReport;
 use aerothermo_sweep::store::{CaseOutcome, CaseStatus};
 use aerothermo_sweep::{CaseSpec, FlowSpec, GasSpec, LevelSpec, SweepPlan};
 
@@ -451,12 +451,7 @@ const PLAN: &str = r#"{
 "#;
 
 #[test]
-fn shard_sidecar_and_federation_report() {
-    let spec = ShardSpec::new(1, 3, ShardStrategy::CostBalanced).unwrap();
-    assert_eq!(
-        spec.to_json(),
-        r#"{"index": 1, "count": 3, "strategy": "cost_balanced"}"#
-    );
+fn federation_report() {
     let report = FederationReport {
         plan_cases: 4,
         shard_stores: 2,
@@ -641,30 +636,6 @@ fn daemon_control_responses() {
         r#"{"ok": false, "error": "unknown job 'job-9'"}"#
     );
 
-    let plan = synthetic_plan("sharded", &["s0", "s1", "s2"])
-        .to_json()
-        .replace('\n', " ");
-    for (shard, job, planned) in [("0/2", "job-0002", 2), ("1/2", "job-0003", 1)] {
-        assert_eq!(
-            c.ask(&format!(
-                "{{\"op\": \"submit_shard\", \"shard\": \"{shard}\", \"strategy\": \"round_robin\", \
-                 \"plan\": {plan}}}"
-            )),
-            format!(
-                "{{\"ok\": true, \"job\": \"{job}\", \"planned\": {planned}, \"shard\": \"{shard}\"}}"
-            )
-        );
-    }
-    assert!(c.settle("job-0002").contains("\"phase\": \"completed\""));
-    assert_eq!(c.settle("job-0003"), STATUS_SHARD);
-    assert_eq!(
-        std::fs::read_to_string(format!("{data}/job-0002.shard.json")).unwrap(),
-        r#"{"index": 0, "count": 2, "strategy": "round_robin"}"#
-    );
-    assert_eq!(
-        c.ask(r#"{"op": "federate", "jobs": ["job-0002", "job-0003"]}"#),
-        FEDERATE
-    );
     assert_eq!(
         c.ask(r#"{"op": "resume", "job": "job-0001"}"#),
         STATUS_RESUMED
@@ -691,13 +662,9 @@ fn daemon_control_responses() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-const STATUS_DONE: &str = r#"{"ok": true, "job": "job-0001", "plan": "golden \"plan\"", "phase": "completed", "done": 1, "total": 1, "error": null, "store": "<DATA>/job-0001.store.jsonl", "events": "<DATA>/job-0001.events.jsonl", "shard": null}"#;
+const STATUS_DONE: &str = r#"{"ok": true, "job": "job-0001", "plan": "golden \"plan\"", "phase": "completed", "done": 1, "total": 1, "error": null, "store": "<DATA>/job-0001.store.jsonl", "events": "<DATA>/job-0001.events.jsonl"}"#;
 
-const STATUS_SHARD: &str = r#"{"ok": true, "job": "job-0003", "plan": "sharded", "phase": "completed", "done": 1, "total": 1, "error": null, "store": "<DATA>/job-0003.store.jsonl", "events": "<DATA>/job-0003.events.jsonl", "shard": "1/2"}"#;
-
-const STATUS_RESUMED: &str = r#"{"ok": true, "job": "job-0001", "plan": "golden \"plan\"", "phase": "running", "done": 1, "total": 1, "error": null, "store": "<DATA>/job-0001.store.jsonl", "events": "<DATA>/job-0001.events.jsonl", "shard": null}"#;
-
-const FEDERATE: &str = r#"{"ok": true, "store": "<DATA>/job-0002.federated.jsonl", "report": {   "schema": "aerothermo-federation-v1",   "plan_cases": 3,   "shard_stores": 2,   "records_read": 3,   "merged": 3,   "superseded": 0,   "duplicates_deduped": 0,   "gaps": [],   "unknown_ids": [],   "torn_tails": 0,   "unknown_counters": 0,   "complete": true }}"#;
+const STATUS_RESUMED: &str = r#"{"ok": true, "job": "job-0001", "plan": "golden \"plan\"", "phase": "running", "done": 1, "total": 1, "error": null, "store": "<DATA>/job-0001.store.jsonl", "events": "<DATA>/job-0001.events.jsonl"}"#;
 
 #[test]
 fn client_control_requests() {
@@ -726,12 +693,6 @@ fn client_control_requests() {
     c.ping().unwrap();
     c.submit(&plan, Some(2), Some(1)).unwrap();
     c.submit(&plan, None, None).unwrap();
-    c.submit_shard(&plan, "1/2", Some("cost_balanced"), Some(3), Some(4))
-        .unwrap();
-    c.submit_shard(&plan, "0/2", None, None, None).unwrap();
-    c.federate(&["job-\"1".to_string(), "job-2".to_string()])
-        .unwrap();
-    c.federate(&[]).unwrap();
     c.status("job-\"x").unwrap();
     c.results("job-1").unwrap();
     c.cancel("job-1").unwrap();
@@ -757,10 +718,6 @@ fn client_control_requests() {
 const CLIENT_REQUESTS: &str = r#"{"op": "ping"}
 {"op": "submit", "workers": 2, "halt_after": 1, "plan": <PLAN>}
 {"op": "submit", "plan": <PLAN>}
-{"op": "submit_shard", "shard": "1/2", "strategy": "cost_balanced", "workers": 3, "halt_after": 4, "plan": <PLAN>}
-{"op": "submit_shard", "shard": "0/2", "plan": <PLAN>}
-{"op": "federate", "jobs": ["job-\"1", "job-2"]}
-{"op": "federate", "jobs": []}
 {"op": "status", "job": "job-\"x"}
 {"op": "results", "job": "job-1"}
 {"op": "cancel", "job": "job-1"}

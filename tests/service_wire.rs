@@ -1,7 +1,8 @@
 //! Wire-level tests of the `aerothermod` line protocol against an
 //! in-process [`Daemon`]: framing under arbitrary write splits, CRLF and
 //! blank lines, pipelining, the request-size, batch-length, nesting and
-//! worker-count caps, non-finite coordinates, random lines, a large mixed
+//! worker-count caps (per request and on the daemon's own config), the
+//! removed shard ops, non-finite coordinates, random lines, a large mixed
 //! batch that must answer bitwise like single queries with the counters
 //! moving as documented, and a repeated batch served from the resident
 //! table.
@@ -397,7 +398,7 @@ fn worker_requests_above_the_cap_are_bad_input() {
     assert!(err.contains("'workers'") && err.contains(&limit), "{err}");
     for req in [
         r#"{"op": "resume", "job": "job-0001", "workers": 1e9}"#,
-        r#"{"op": "submit_shard", "shard": "1/2", "workers": 1e300, "plan": PLAN}"#,
+        r#"{"op": "submit", "workers": 1e300, "plan": PLAN}"#,
     ] {
         let plan = one_case_plan().to_json().replace('\n', " ");
         let err = c.call(&req.replace("PLAN", &plan)).unwrap_err().to_string();
@@ -409,6 +410,60 @@ fn worker_requests_above_the_cap_are_bad_input() {
         .expect("a request at the cap is accepted");
     let status = c.wait(&job, Duration::from_secs(60)).expect("job finishes");
     assert_eq!(status.get("done").and_then(Value::as_f64), Some(1.0));
+}
+
+#[test]
+fn daemon_config_above_the_cap_is_bad_input_before_binding() {
+    let root = std::env::temp_dir().join(format!("wire-config-cap-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let path = |name: &str| root.join(name).to_str().unwrap().to_string();
+    for (accept_threads, workers, name) in [
+        (MAX_WORKERS + 1, 1, "'accept_threads'"),
+        (1, MAX_WORKERS + 1, "'workers'"),
+    ] {
+        let err = Daemon::start(ServiceConfig {
+            socket_path: path("d.sock"),
+            data_dir: path("data"),
+            accept_threads,
+            workers,
+            ..ServiceConfig::default()
+        })
+        .err()
+        .expect("a config above the cap is refused")
+        .to_string();
+        assert!(
+            err.contains(name) && err.contains(&MAX_WORKERS.to_string()),
+            "{err}"
+        );
+        // The check runs before the registry opens and the socket binds,
+        // so no accept thread can have started.
+        assert!(!root.exists(), "nothing may be created under {root:?}");
+    }
+}
+
+#[test]
+fn removed_shard_ops_are_unknown_and_the_daemon_keeps_serving() {
+    let fx = Fixture::start("shardops");
+    let plan = one_case_plan().to_json().replace('\n', " ");
+    let mut s = fx.raw();
+    for (op, req) in [
+        (
+            "submit_shard",
+            format!(r#"{{"op": "submit_shard", "shard": "0/2", "plan": {plan}}}"#),
+        ),
+        (
+            "federate",
+            r#"{"op": "federate", "jobs": ["job-0001"]}"#.to_string(),
+        ),
+    ] {
+        s.write_all(format!("{req}\n").as_bytes()).unwrap();
+        let lines = read_lines(&mut s, 1);
+        assert_eq!(
+            lines[0],
+            format!(r#"{{"ok": false, "error": "unknown op '{op}'"}}"#)
+        );
+    }
+    fx.client().ping().expect("daemon still serving");
 }
 
 /// SplitMix64, for reproducible random lines.
