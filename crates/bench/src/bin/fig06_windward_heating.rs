@@ -103,7 +103,7 @@ fn main() {
     };
     let vsl_sol = match VslMarcher::new(&gas_eq, &vsl_problem, &body, VSL_STATIONS) {
         Ok(mut marcher) => {
-            let opts = run_options("fig06_windward_heating", VSL_STATIONS, 0.0, 0);
+            let opts = run_options("fig06_windward_heating", VSL_STATIONS, 0.0);
             let outcome = run_controlled(&mut marcher, &opts)
                 .expect("VSL march unrecoverable (budget exhausted or hard error)");
             report.record_run_outcome("vsl_march", &outcome, VSL_RELAX_NOMINAL);

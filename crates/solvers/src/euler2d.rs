@@ -18,9 +18,7 @@ use aerothermo_gas::GasModel;
 use aerothermo_grid::{Metrics, StructuredGrid};
 use aerothermo_numerics::limiters::Limiter;
 use aerothermo_numerics::simd::F64x4;
-use aerothermo_numerics::telemetry::{
-    counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
-};
+use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverError};
 use aerothermo_numerics::{trace, Field3};
 use rayon::prelude::*;
 
@@ -1151,73 +1149,6 @@ impl<'a> EulerSolver<'a> {
         self.steps_taken += 1;
     }
 
-    /// Run until the density residual drops below `tol` relative to its
-    /// value right after the startup phase, or `max_steps` elapse. Returns
-    /// `(steps, final residual ratio)`.
-    ///
-    /// The full residual history and the `euler_run` phase timing land in
-    /// [`EulerSolver::telemetry`].
-    ///
-    /// # Errors
-    /// [`SolverError::Diverged`] when the residual grows past the monitor's
-    /// divergence window (instead of spinning to `max_steps`), and
-    /// [`SolverError::NonFinite`] with the first affected cell when NaN/Inf
-    /// contaminates the state.
-    pub fn run(&mut self, max_steps: usize, tol: f64) -> Result<(usize, f64), SolverError> {
-        let t0 = std::time::Instant::now();
-        let mut monitor = ResidualMonitor::with_options(MonitorOptions {
-            grace: self.opts.startup_steps + 25,
-            ..MonitorOptions::default()
-        });
-        let mut reference = f64::NAN;
-        let mut last_ratio = 1.0;
-        let mut steps = max_steps;
-        let mut failure: Option<SolverError> = None;
-        for n in 0..max_steps {
-            let r = self.step();
-            if let Err(e) = monitor.record(r) {
-                failure = Some(match e {
-                    SolverError::NonFinite { .. } => self.locate_nonfinite().unwrap_or(e),
-                    other => other,
-                });
-                break;
-            }
-            if audit::due(n) {
-                let findings = audit::audit_euler(self, n, false);
-                if let Err(e) = audit::apply(&mut self.telemetry, findings) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            if n == self.opts.startup_steps {
-                reference = r.max(1e-300);
-            }
-            if reference.is_finite() {
-                last_ratio = r / reference;
-                if last_ratio < tol {
-                    steps = n + 1;
-                    break;
-                }
-            }
-        }
-        // Converged-state audit: the flux budgets are only required to close
-        // once the march has settled, so grade them at full strictness here.
-        if failure.is_none() && audit::cadence() != 0 {
-            let findings = audit::audit_euler(self, steps, last_ratio < tol);
-            if let Err(e) = audit::apply(&mut self.telemetry, findings) {
-                failure = Some(e);
-            }
-        }
-        self.telemetry
-            .add_phase_secs("euler_run", t0.elapsed().as_secs_f64());
-        self.telemetry
-            .record_history("density_residual", monitor.into_history());
-        match failure {
-            Some(e) => Err(e),
-            None => Ok((steps, last_ratio)),
-        }
-    }
-
     /// Global flux budget per conserved equation: `(net, gross)` where
     /// `net` is the signed flux into the domain through all four
     /// boundaries plus the geometric (axisymmetric) source, and `gross`
@@ -1334,37 +1265,6 @@ impl<'a> EulerSolver<'a> {
     pub fn wall_pressure(&self) -> Vec<f64> {
         (0..self.nci()).map(|i| self.primitive(i, 0).p).collect()
     }
-
-    /// Snapshot the persistent state: the conserved field (exact bits), the
-    /// step counter (it drives the startup schedule), and the CFL scale.
-    /// Scratch buffers are recomputed every step and excluded, so restoring
-    /// and continuing is bitwise-identical to an uninterrupted run.
-    #[must_use]
-    pub fn save_state(&self) -> crate::runctl::Snapshot {
-        crate::runctl::Snapshot {
-            step: self.steps_taken,
-            cfl_scale: self.cfl_scale,
-            data: self.u.as_slice().to_vec(),
-        }
-    }
-
-    /// Restore a snapshot taken from an identically-shaped solver.
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] on a payload-size mismatch.
-    pub fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        let want = self.u.as_slice().len();
-        if snap.data.len() != want {
-            return Err(SolverError::BadInput(format!(
-                "euler2d restore: state length {} != {want}",
-                snap.data.len()
-            )));
-        }
-        self.u.as_mut_slice().copy_from_slice(&snap.data);
-        self.steps_taken = snap.step;
-        self.cfl_scale = snap.cfl_scale;
-        Ok(())
-    }
 }
 
 impl crate::runctl::Steppable for EulerSolver<'_> {
@@ -1389,12 +1289,27 @@ impl crate::runctl::Steppable for EulerSolver<'_> {
         self.steps_taken
     }
 
+    fn startup_units(&self) -> usize {
+        self.opts.startup_steps
+    }
+
+    /// The conserved field (exact bits), the step counter (it drives the
+    /// startup schedule), and the CFL scale. Scratch buffers are recomputed
+    /// every step and excluded, so restoring and continuing is
+    /// bitwise-identical to an uninterrupted run.
     fn save_state(&self) -> crate::runctl::Snapshot {
-        EulerSolver::save_state(self)
+        crate::runctl::Snapshot {
+            step: self.steps_taken,
+            cfl_scale: self.cfl_scale,
+            data: self.u.as_slice().to_vec(),
+        }
     }
 
     fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        EulerSolver::restore_state(self, snap)
+        snap.restore_field("euler2d", self.u.as_mut_slice())?;
+        self.steps_taken = snap.step;
+        self.cfl_scale = snap.cfl_scale;
+        Ok(())
     }
 
     fn cfl_scale(&self) -> f64 {
@@ -1422,8 +1337,8 @@ impl crate::runctl::Steppable for EulerSolver<'_> {
     }
 
     fn finalize(&mut self, converged: bool) -> Result<(), SolverError> {
-        // The converged-state audit the solver's own `run()` performs after
-        // its loop: flux budgets at full strictness once the march settled.
+        // Converged-state audit: the flux budgets are only required to close
+        // once the march has settled, so grade them at full strictness here.
         if audit::cadence() != 0 {
             let findings = audit::audit_euler(self, self.steps_taken, converged);
             audit::apply(&mut self.telemetry, findings)?;
@@ -1440,6 +1355,7 @@ impl crate::runctl::Steppable for EulerSolver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::run_to;
     use aerothermo_gas::IdealGas;
     use aerothermo_grid::bodies::Hemisphere;
     use aerothermo_grid::{stretch, Geometry, StructuredGrid};
@@ -1574,7 +1490,7 @@ mod tests {
             ..EulerOptions::default()
         };
         let mut solver = EulerSolver::new(&grid, &gas, bc, opts, fs);
-        let (_steps, ratio) = solver.run(4000, 1e-3).expect("stable run");
+        let ratio = run_to(&mut solver, 4000, 1e-3).ratio;
         assert!(ratio < 0.1, "poor convergence: ratio = {ratio}");
 
         let standoff = solver.standoff(fs.0).expect("no shock detected");
@@ -1623,7 +1539,7 @@ mod tests {
                 ..EulerOptions::default()
             };
             let mut solver = EulerSolver::new(&grid, &gas, bc, opts, fs);
-            solver.run(3000, 1e-3).expect("stable run");
+            run_to(&mut solver, 3000, 1e-3);
             solver.standoff(fs.0).unwrap()
         };
         let d14 = run(1.4);

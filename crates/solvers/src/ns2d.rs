@@ -17,9 +17,7 @@ use crate::euler2d::{BcSet, EulerOptions, EulerSolver, PrimSoA, Primitive, NEQ};
 use aerothermo_gas::transport::sutherland_air;
 use aerothermo_gas::GasModel;
 use aerothermo_grid::StructuredGrid;
-use aerothermo_numerics::telemetry::{
-    counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
-};
+use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverError};
 use aerothermo_numerics::trace;
 use rayon::prelude::*;
 
@@ -433,70 +431,6 @@ impl<'a> NsSolver<'a> {
         cfl * vol / (lam_c + lam_v).max(1e-300)
     }
 
-    /// Run to steady state; returns `(steps, residual ratio)`.
-    ///
-    /// Residual history and the `ns_run` phase land in the underlying
-    /// [`EulerSolver::telemetry`] sink (`self.inviscid.telemetry`).
-    ///
-    /// # Errors
-    /// [`SolverError::Diverged`] on detected residual blow-up,
-    /// [`SolverError::NonFinite`] (with the first affected cell) on NaN/Inf
-    /// contamination.
-    pub fn run(&mut self, max_steps: usize, tol: f64) -> Result<(usize, f64), SolverError> {
-        let t0 = std::time::Instant::now();
-        let mut monitor = ResidualMonitor::with_options(MonitorOptions {
-            grace: self.startup_steps + 25,
-            ..MonitorOptions::default()
-        });
-        let mut reference = f64::NAN;
-        let mut last = 1.0;
-        let mut steps = max_steps;
-        let mut failure: Option<SolverError> = None;
-        for n in 0..max_steps {
-            let r = self.step();
-            if let Err(e) = monitor.record(r) {
-                failure = Some(match e {
-                    SolverError::NonFinite { .. } => self.inviscid.locate_nonfinite().unwrap_or(e),
-                    other => other,
-                });
-                break;
-            }
-            if crate::audit::due(n) {
-                let findings = crate::audit::audit_ns(&self.inviscid, n, false);
-                if let Err(e) = crate::audit::apply(&mut self.inviscid.telemetry, findings) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            if n == self.startup_steps {
-                reference = r.max(1e-300);
-            }
-            if reference.is_finite() {
-                last = r / reference;
-                if last < tol {
-                    steps = n + 1;
-                    break;
-                }
-            }
-        }
-        if failure.is_none() && crate::audit::cadence() != 0 {
-            let findings = crate::audit::audit_ns(&self.inviscid, steps, last < tol);
-            if let Err(e) = crate::audit::apply(&mut self.inviscid.telemetry, findings) {
-                failure = Some(e);
-            }
-        }
-        self.inviscid
-            .telemetry
-            .add_phase_secs("ns_run", t0.elapsed().as_secs_f64());
-        self.inviscid
-            .telemetry
-            .record_history("density_residual", monitor.into_history());
-        match failure {
-            Some(e) => Err(e),
-            None => Ok((steps, last)),
-        }
-    }
-
     /// Wall heat flux \[W/m²\] at cell column `i` (positive = into the
     /// wall), from the one-sided wall-normal temperature gradient.
     #[must_use]
@@ -537,36 +471,6 @@ impl<'a> NsSolver<'a> {
         let t_face = 0.5 * (self.temperature(i, 0) + self.t_wall);
         (self.transport.viscosity)(t_face) * ut / dn
     }
-
-    /// Snapshot the persistent state (the conserved field lives in the
-    /// inviscid core; the NS layer adds only its own step counter — both
-    /// scratch structs are recomputed every step).
-    #[must_use]
-    pub fn save_state(&self) -> crate::runctl::Snapshot {
-        crate::runctl::Snapshot {
-            step: self.steps,
-            cfl_scale: self.cfl_scale,
-            data: self.inviscid.u.as_slice().to_vec(),
-        }
-    }
-
-    /// Restore a snapshot taken from an identically-shaped solver.
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] on a payload-size mismatch.
-    pub fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        let want = self.inviscid.u.as_slice().len();
-        if snap.data.len() != want {
-            return Err(SolverError::BadInput(format!(
-                "ns2d restore: state length {} != {want}",
-                snap.data.len()
-            )));
-        }
-        self.inviscid.u.as_mut_slice().copy_from_slice(&snap.data);
-        self.steps = snap.step;
-        self.cfl_scale = snap.cfl_scale;
-        Ok(())
-    }
 }
 
 impl crate::runctl::Steppable for NsSolver<'_> {
@@ -594,12 +498,26 @@ impl crate::runctl::Steppable for NsSolver<'_> {
         self.steps
     }
 
+    fn startup_units(&self) -> usize {
+        self.startup_steps
+    }
+
+    /// The conserved field lives in the inviscid core; the NS layer adds
+    /// only its own step counter — both scratch structs are recomputed
+    /// every step.
     fn save_state(&self) -> crate::runctl::Snapshot {
-        NsSolver::save_state(self)
+        crate::runctl::Snapshot {
+            step: self.steps,
+            cfl_scale: self.cfl_scale,
+            data: self.inviscid.u.as_slice().to_vec(),
+        }
     }
 
     fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        NsSolver::restore_state(self, snap)
+        snap.restore_field("ns2d", self.inviscid.u.as_mut_slice())?;
+        self.steps = snap.step;
+        self.cfl_scale = snap.cfl_scale;
+        Ok(())
     }
 
     fn cfl_scale(&self) -> f64 {
@@ -645,6 +563,7 @@ mod tests {
     use super::*;
     use crate::blayer::{fay_riddell, newtonian_velocity_gradient, FayRiddellInputs};
     use crate::euler2d::EulerScratch;
+    use crate::runctl::{run_to, Steppable};
     use aerothermo_gas::IdealGas;
     use aerothermo_grid::bodies::Hemisphere;
     use aerothermo_grid::{stretch, Geometry, StructuredGrid};
@@ -850,10 +769,11 @@ mod tests {
         // The diffusive near-wall layer converges slowly under local time
         // stepping; average the flux over the tail of the run to smooth the
         // residual limit cycle.
-        solver.run(15_000, 1e-9).expect("stable run");
+        run_to(&mut solver, 15_000, 1e-9);
         let mut q_ns = 0.0;
         for _ in 0..5 {
-            solver.run(1_000, 1e-9).expect("stable run");
+            let end = solver.progress() + 1_000;
+            run_to(&mut solver, end, 1e-9);
             q_ns += solver.wall_heat_flux(0) / 5.0;
         }
 
@@ -913,7 +833,7 @@ mod tests {
             ..EulerOptions::default()
         };
         let mut solver = NsSolver::new(&grid, &gas, bc, opts, fs, Transport::air(), 300.0);
-        solver.run(3000, 1e-2).expect("stable run");
+        run_to(&mut solver, 3000, 1e-2);
         // Shear grows away from the stagnation point then stays positive.
         let tau_stag = solver.wall_shear(0);
         let tau_mid = solver.wall_shear(8);

@@ -724,64 +724,6 @@ impl<'a> PnsSolver<'a> {
         &self.solution
     }
 
-    /// Snapshot the march state: the conserved field plus the accumulated
-    /// wall rows (`ROW` values per completed station), cursor in `step`.
-    #[must_use]
-    pub fn save_state(&self) -> crate::runctl::Snapshot {
-        let mut data = self.u.as_slice().to_vec();
-        for k in 0..self.solution.station_x.len() {
-            data.push(self.solution.station_x[k]);
-            data.push(self.solution.wall_pressure[k]);
-            data.push(self.solution.wall_heat_flux[k]);
-            data.push(self.solution.iterations[k] as f64);
-            data.push(self.solution.residual_ratio[k]);
-        }
-        crate::runctl::Snapshot {
-            step: self.next_station,
-            cfl_scale: self.cfl_scale,
-            data,
-        }
-    }
-
-    /// Restore a snapshot taken by [`PnsSolver::save_state`].
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] when the payload shape does not match this
-    /// solver's field plus a whole number of wall rows, or when the cursor
-    /// is not a station in `1..=nci`.
-    pub fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        let field_len = self.u.as_slice().len();
-        if snap.data.len() < field_len || !(snap.data.len() - field_len).is_multiple_of(ROW) {
-            return Err(SolverError::BadInput(format!(
-                "pns restore: state length {} incompatible with field length {field_len}",
-                snap.data.len()
-            )));
-        }
-        let nci = self.grid.nci();
-        if snap.step == 0 || snap.step > nci {
-            return Err(SolverError::BadInput(format!(
-                "pns restore: station cursor {} outside 1..={nci}",
-                snap.step
-            )));
-        }
-        self.u
-            .as_mut_slice()
-            .copy_from_slice(&snap.data[..field_len]);
-        let rows = (snap.data.len() - field_len) / ROW;
-        self.solution = PnsSolution::default();
-        for row in snap.data[field_len..].chunks_exact(ROW) {
-            self.solution.station_x.push(row[0]);
-            self.solution.wall_pressure.push(row[1]);
-            self.solution.wall_heat_flux.push(row[2]);
-            self.solution.iterations.push(row[3] as usize);
-            self.solution.residual_ratio.push(row[4]);
-        }
-        debug_assert_eq!(self.solution.station_x.len(), rows);
-        self.next_station = snap.step;
-        self.cfl_scale = snap.cfl_scale;
-        Ok(())
-    }
-
     /// Wall heat flux at station `i` \[W/m²\] (0 for inviscid marches).
     #[must_use]
     pub fn wall_heat_flux(&self, i: usize) -> f64 {
@@ -829,12 +771,57 @@ impl crate::runctl::Steppable for PnsSolver<'_> {
         self.next_station
     }
 
+    /// Snapshot the march state: the conserved field plus the accumulated
+    /// wall rows (`ROW` values per completed station), cursor in `step`.
     fn save_state(&self) -> crate::runctl::Snapshot {
-        self.save_state()
+        let mut data = self.u.as_slice().to_vec();
+        for k in 0..self.solution.station_x.len() {
+            data.push(self.solution.station_x[k]);
+            data.push(self.solution.wall_pressure[k]);
+            data.push(self.solution.wall_heat_flux[k]);
+            data.push(self.solution.iterations[k] as f64);
+            data.push(self.solution.residual_ratio[k]);
+        }
+        crate::runctl::Snapshot {
+            step: self.next_station,
+            cfl_scale: self.cfl_scale,
+            data,
+        }
     }
 
+    /// Rejects a payload that is not this solver's field plus a whole
+    /// number of wall rows, or a cursor outside `1..=nci`.
     fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        self.restore_state(snap)
+        let field_len = self.u.as_slice().len();
+        if snap.data.len() < field_len || !(snap.data.len() - field_len).is_multiple_of(ROW) {
+            return Err(SolverError::BadInput(format!(
+                "pns restore: state length {} incompatible with field length {field_len}",
+                snap.data.len()
+            )));
+        }
+        let nci = self.grid.nci();
+        if snap.step == 0 || snap.step > nci {
+            return Err(SolverError::BadInput(format!(
+                "pns restore: station cursor {} outside 1..={nci}",
+                snap.step
+            )));
+        }
+        self.u
+            .as_mut_slice()
+            .copy_from_slice(&snap.data[..field_len]);
+        let rows = (snap.data.len() - field_len) / ROW;
+        self.solution = PnsSolution::default();
+        for row in snap.data[field_len..].chunks_exact(ROW) {
+            self.solution.station_x.push(row[0]);
+            self.solution.wall_pressure.push(row[1]);
+            self.solution.wall_heat_flux.push(row[2]);
+            self.solution.iterations.push(row[3] as usize);
+            self.solution.residual_ratio.push(row[4]);
+        }
+        debug_assert_eq!(self.solution.station_x.len(), rows);
+        self.next_station = snap.step;
+        self.cfl_scale = snap.cfl_scale;
+        Ok(())
     }
 
     fn cfl_scale(&self) -> f64 {

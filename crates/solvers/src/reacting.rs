@@ -30,9 +30,7 @@ use aerothermo_gas::source::{two_temperature_source, SourceState};
 use aerothermo_gas::thermo::Mixture;
 use aerothermo_grid::{Geometry, Metrics, StructuredGrid};
 use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
-use aerothermo_numerics::telemetry::{
-    counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
-};
+use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverError};
 use aerothermo_numerics::{trace, Field3};
 use rayon::prelude::*;
 use std::cell::Cell as StdCell;
@@ -936,56 +934,6 @@ impl<'a> ReactingSolver<'a> {
         (resnorm / (nci * ncj) as f64).sqrt()
     }
 
-    /// Run `n` steps; returns the last residual.
-    ///
-    /// The residual history and the `reacting_run` phase land in
-    /// [`ReactingSolver::telemetry`].
-    ///
-    /// # Errors
-    /// [`SolverError::Diverged`] on detected residual blow-up,
-    /// [`SolverError::NonFinite`] with the first contaminated cell/field on
-    /// NaN/Inf.
-    pub fn run(&mut self, n: usize) -> Result<f64, SolverError> {
-        let t0 = std::time::Instant::now();
-        let mut monitor = ResidualMonitor::with_options(MonitorOptions {
-            grace: self.opts.startup_steps + 25,
-            ..MonitorOptions::default()
-        });
-        let mut r = f64::NAN;
-        let mut failure: Option<SolverError> = None;
-        for k in 0..n {
-            r = self.step();
-            if let Err(e) = monitor.record(r) {
-                failure = Some(match e {
-                    SolverError::NonFinite { .. } => self.locate_nonfinite().unwrap_or(e),
-                    other => other,
-                });
-                break;
-            }
-            if crate::audit::due(k) {
-                let findings = crate::audit::audit_reacting(self, k);
-                if let Err(e) = crate::audit::apply(&mut self.telemetry, findings) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if failure.is_none() && crate::audit::cadence() != 0 {
-            let findings = crate::audit::audit_reacting(self, n);
-            if let Err(e) = crate::audit::apply(&mut self.telemetry, findings) {
-                failure = Some(e);
-            }
-        }
-        self.telemetry
-            .add_phase_secs("reacting_run", t0.elapsed().as_secs_f64());
-        self.telemetry
-            .record_history("density_residual", monitor.into_history());
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(r),
-        }
-    }
-
     /// First cell whose conserved state is non-finite, as a typed error.
     fn locate_nonfinite(&self) -> Option<SolverError> {
         for i in 0..self.grid.nci() {
@@ -1017,35 +965,6 @@ impl<'a> ReactingSolver<'a> {
     pub fn stagnation_line(&self) -> Vec<ReactingPrimitive> {
         (0..self.grid.ncj()).map(|j| self.primitive(0, j)).collect()
     }
-
-    /// Snapshot the persistent state (conserved field, step counter, CFL
-    /// scale); scratch is recomputed every step and excluded.
-    #[must_use]
-    pub fn save_state(&self) -> crate::runctl::Snapshot {
-        crate::runctl::Snapshot {
-            step: self.steps,
-            cfl_scale: self.cfl_scale,
-            data: self.u.as_slice().to_vec(),
-        }
-    }
-
-    /// Restore a snapshot taken from an identically-shaped solver.
-    ///
-    /// # Errors
-    /// [`SolverError::BadInput`] on a payload-size mismatch.
-    pub fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        let want = self.u.as_slice().len();
-        if snap.data.len() != want {
-            return Err(SolverError::BadInput(format!(
-                "reacting restore: state length {} != {want}",
-                snap.data.len()
-            )));
-        }
-        self.u.as_mut_slice().copy_from_slice(&snap.data);
-        self.steps = snap.step;
-        self.cfl_scale = snap.cfl_scale;
-        Ok(())
-    }
 }
 
 impl crate::runctl::Steppable for ReactingSolver<'_> {
@@ -1070,12 +989,25 @@ impl crate::runctl::Steppable for ReactingSolver<'_> {
         self.steps
     }
 
+    fn startup_units(&self) -> usize {
+        self.opts.startup_steps
+    }
+
+    /// Conserved field, step counter and CFL scale; scratch is recomputed
+    /// every step and excluded.
     fn save_state(&self) -> crate::runctl::Snapshot {
-        ReactingSolver::save_state(self)
+        crate::runctl::Snapshot {
+            step: self.steps,
+            cfl_scale: self.cfl_scale,
+            data: self.u.as_slice().to_vec(),
+        }
     }
 
     fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        ReactingSolver::restore_state(self, snap)
+        snap.restore_field("reacting", self.u.as_mut_slice())?;
+        self.steps = snap.step;
+        self.cfl_scale = snap.cfl_scale;
+        Ok(())
     }
 
     fn cfl_scale(&self) -> f64 {
@@ -1115,6 +1047,7 @@ impl crate::runctl::Steppable for ReactingSolver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::run_to;
     use aerothermo_gas::equilibrium::air9_equilibrium;
     use aerothermo_gas::kinetics::park_air9;
     use aerothermo_grid::bodies::Hemisphere;
@@ -1186,7 +1119,7 @@ mod tests {
             ..ReactingOptions::default()
         };
         let mut solver = ReactingSolver::new(&grid, &set, &relax, bc, opts, &fs);
-        solver.run(320).expect("stable run");
+        run_to(&mut solver, 320, 0.0);
 
         // Elemental N:O nuclei ratio must be 767/28.0134 : ... in every cell
         // regardless of how far chemistry has gone.
@@ -1238,7 +1171,7 @@ mod tests {
             ..ReactingOptions::default()
         };
         let mut solver = ReactingSolver::new(&grid, &set, &relax, bc, opts, &fs);
-        solver.run(520).expect("stable run");
+        run_to(&mut solver, 520, 0.0);
 
         let line = solver.stagnation_line();
         // Find the shock: outermost cell with T > 2×T∞.

@@ -152,7 +152,7 @@ pub fn solve_with_retry(
     problem: &RelaxationProblem,
     max_retries: usize,
 ) -> Result<crate::runctl::RetryOutcome<RelaxationSolution>, SolverError> {
-    crate::runctl::retry_with_backoff(max_retries, 0.5, 1.0 / 64.0, |scale| {
+    crate::runctl::retry_with_backoff(max_retries, |scale| {
         solve_scaled(reactions, relaxation, problem, scale)
     })
 }

@@ -217,9 +217,7 @@ pub fn solve_with_retry(
     problem: &VslProblem,
     max_retries: usize,
 ) -> Result<crate::runctl::RetryOutcome<VslSolution>, SolverError> {
-    crate::runctl::retry_with_backoff(max_retries, 0.5, 1.0 / 64.0, |scale| {
-        solve_scaled(gas, problem, scale)
-    })
+    crate::runctl::retry_with_backoff(max_retries, |scale| solve_scaled(gas, problem, scale))
 }
 
 /// Stagnation solve at a given under-relaxation scale (1.0 = the nominal

@@ -128,7 +128,7 @@ pub fn run_case(case: &CaseSpec) -> Result<CaseResult, CaseFailure> {
         // becomes a flight-recorder rollback record.
         let mut recorder = FlightRecorder::default();
         let mut attempt = 0usize;
-        let err = retry_with_backoff(case.max_retries, 0.5, 1.0 / 64.0, |scale| {
+        let err = retry_with_backoff(case.max_retries, |scale| {
             attempt += 1;
             let e = SolverError::NonFinite {
                 field: "injected",
@@ -199,7 +199,7 @@ fn run_synthetic(case: &CaseSpec, work_ms: f64, outcome: &str) -> Result<CaseRes
             Ok(res)
         }
         "fail" => {
-            let err = retry_with_backoff(case.max_retries, 0.5, 1.0 / 64.0, |_| {
+            let err = retry_with_backoff(case.max_retries, |_| {
                 spin();
                 Err::<(), _>(SolverError::Diverged {
                     iter: 1,
@@ -295,11 +295,10 @@ fn inflow_bc(fs: (f64, f64, f64, f64)) -> BcSet {
     }
 }
 
-fn cfd_run_options(case: &CaseSpec, max_steps: usize, tol: f64, grace: usize) -> RunOptions {
+fn cfd_run_options(case: &CaseSpec, max_steps: usize, tol: f64) -> RunOptions {
     RunOptions {
         max_units: max_steps,
         tol,
-        grace,
         checkpoint_every: 100,
         max_retries: case.max_retries,
         first_order_fallback: true,
@@ -342,7 +341,7 @@ fn run_euler_bl(
         ..EulerOptions::default()
     };
     let mut euler = EulerSolver::new(&grid, gas.as_ref(), inflow_bc(fs), opts, fs);
-    let run_opts = cfd_run_options(case, max_steps, tol, 300);
+    let run_opts = cfd_run_options(case, max_steps, tol);
     let (out, pm) = run_recorded(&mut euler, &run_opts);
     let out = out.map_err(|e| {
         CaseFailure::new(e, case.max_retries).with_postmortem(pm.map(|p| p.to_json()))
@@ -398,7 +397,7 @@ fn run_pns(
     };
     // No incremental state survives a failed march; retry with a fresh
     // solver at a backed-off relaxation scale.
-    let out = retry_with_backoff(case.max_retries, 0.5, 1.0 / 64.0, |scale| {
+    let out = retry_with_backoff(case.max_retries, |scale| {
         let mut pns = PnsSolver::new(&grid, gas.as_ref(), opts.clone(), fs);
         pns.set_cfl_scale(scale);
         pns.march(i_start)
@@ -456,7 +455,7 @@ fn run_ns(
         Transport::air(),
         f.t_wall,
     );
-    let run_opts = cfd_run_options(case, max_steps, tol, 500);
+    let run_opts = cfd_run_options(case, max_steps, tol);
     let (out, pm) = run_recorded(&mut ns, &run_opts);
     let out = out.map_err(|e| {
         CaseFailure::new(e, case.max_retries).with_postmortem(pm.map(|p| p.to_json()))

@@ -16,6 +16,7 @@ fn unstable_cfl_reports_divergence_not_a_hang() {
     use aerothermo::grid::{stretch, StructuredGrid};
     use aerothermo::numerics::telemetry::SolverError;
     use aerothermo::solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
+    use aerothermo::solvers::runctl::{run_controlled, RunOptions};
 
     let gas = IdealGas::air();
     let t_inf = 230.0;
@@ -48,9 +49,17 @@ fn unstable_cfl_reports_divergence_not_a_hang() {
         ..EulerOptions::default()
     };
     let mut solver = EulerSolver::new(&grid, &gas, bc, opts, fs);
-    let err = solver
-        .run(100_000, 1e-12)
-        .expect_err("CFL 2.0 cannot converge");
+    // No retries: the divergence itself is under test, not its recovery.
+    let err = run_controlled(
+        &mut solver,
+        &RunOptions {
+            max_units: 100_000,
+            tol: 1e-12,
+            max_retries: 0,
+            ..RunOptions::default()
+        },
+    )
+    .expect_err("CFL 2.0 cannot converge");
     match err {
         SolverError::Diverged { iter, residual } => {
             assert!(
@@ -70,7 +79,7 @@ fn unstable_cfl_reports_divergence_not_a_hang() {
             .telemetry
             .histories()
             .iter()
-            .any(|(name, h)| name == "density_residual" && !h.is_empty()),
+            .any(|(name, h)| name == "runctl_residual" && !h.is_empty()),
         "telemetry must retain the residual history of the failed run"
     );
 }

@@ -298,7 +298,6 @@ fn flight_recorder_dumps_exactly_last_n_steps_on_injected_nan() {
     let ring = 8;
     let run_opts = RunOptions {
         max_units: 90,
-        grace: 30,
         checkpoint_every: 10,
         inject_nan_at: Some(45),
         flight_ring: ring,
@@ -339,7 +338,6 @@ fn terminal_failure_writes_blackbox_naming_the_failing_step() {
     // budget is exhausted immediately, so the run dies at the injection.
     let run_opts = RunOptions {
         max_units: 90,
-        grace: 30,
         checkpoint_every: 10,
         inject_nan_at: Some(45),
         max_retries: 0,
