@@ -115,17 +115,19 @@ impl Job {
         relock(&self.error).clone()
     }
 
+    /// Mark the job [`JobPhase::Failed`] with `msg` as its error.
+    pub(crate) fn fail(&self, msg: String) {
+        *relock(&self.error) = Some(msg);
+        self.set_phase(JobPhase::Failed);
+    }
+
     /// Execute (or resume) this job's plan on the sweep pool, updating
     /// phase and progress as records land. Blocks until the sweep
     /// returns; callers spawn it on a detached thread.
     pub fn run(self: &Arc<Self>, workers: usize, halt_after: Option<usize>) {
         let plan = match SweepPlan::load(&self.plan_path) {
             Ok(p) => p,
-            Err(e) => {
-                *relock(&self.error) = Some(e.to_string());
-                self.set_phase(JobPhase::Failed);
-                return;
-            }
+            Err(e) => return self.fail(e.to_string()),
         };
         // Progress restarts from the store's completed set: resumed
         // records skip the queue and never hit the record hook.
@@ -154,10 +156,7 @@ impl Job {
             } else {
                 JobPhase::Completed
             }),
-            Err(e) => {
-                *relock(&self.error) = Some(e.to_string());
-                self.set_phase(JobPhase::Failed);
-            }
+            Err(e) => self.fail(e.to_string()),
         }
     }
 }
@@ -298,7 +297,7 @@ impl JobRegistry {
     }
 
     /// Flip a resumable job back to [`JobPhase::Running`] with a fresh
-    /// cancel flag, returning it ready for [`Job::run`].
+    /// cancel flag and no error, returning it ready for [`Job::run`].
     ///
     /// # Errors
     /// [`SolverError::BadInput`] if the job does not exist or is
@@ -313,6 +312,7 @@ impl JobRegistry {
             )));
         }
         job.cancel.store(false, Ordering::SeqCst);
+        *relock(&job.error) = None;
         job.set_phase(JobPhase::Running);
         Ok(job)
     }
@@ -378,6 +378,30 @@ mod tests {
         resumed.run(1, None);
         assert_eq!(resumed.phase(), JobPhase::Completed);
         assert_eq!(resumed.done.load(Ordering::SeqCst), 3);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_job_can_be_resumed() {
+        // A job whose sweep thread never started is marked failed; resume
+        // must accept it, clear the error and run it to completion.
+        let dir = std::env::temp_dir().join(format!("aerothermod-failed-{}", std::process::id()));
+        let dir = dir.to_str().unwrap().to_string();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let reg = JobRegistry::open(&dir).unwrap();
+        let job = reg.submit(&tiny_plan(2)).unwrap();
+        job.fail("could not start its sweep thread".into());
+        assert_eq!(job.phase(), JobPhase::Failed);
+        assert!(job.error().is_some());
+
+        let resumed = reg.resume(&job.id).expect("a failed job is resumable");
+        assert_eq!(resumed.phase(), JobPhase::Running);
+        assert_eq!(resumed.error(), None);
+        resumed.run(1, None);
+        assert_eq!(resumed.phase(), JobPhase::Completed);
+        assert_eq!(resumed.done.load(Ordering::SeqCst), 2);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -502,12 +502,22 @@ fn query_batch(shared: &Shared, v: &Value, out: &mut String) -> Result<(), Solve
     Ok(())
 }
 
-/// Spawn a detached sweep thread for `job`.
-fn spawn_run(job: Arc<Job>, workers: usize, halt_after: Option<usize>) {
-    std::thread::Builder::new()
+/// Spawn a detached sweep thread for `job`. When the thread cannot be
+/// started the job is marked failed with the reason (so `resume` accepts
+/// it) and the error is returned for the response line.
+fn spawn_run(job: Arc<Job>, workers: usize, halt_after: Option<usize>) -> Result<(), SolverError> {
+    let runner = Arc::clone(&job);
+    match std::thread::Builder::new()
         .name(format!("aerothermod-{}", job.id))
-        .spawn(move || job.run(workers, halt_after))
-        .expect("spawning job thread");
+        .spawn(move || runner.run(workers, halt_after))
+    {
+        Ok(_) => Ok(()),
+        Err(e) => {
+            let msg = format!("job '{}': could not start its sweep thread: {e}", job.id);
+            job.fail(msg.clone());
+            Err(SolverError::BadInput(msg))
+        }
+    }
 }
 
 /// Parse one request line and write its response into `out`.
@@ -533,7 +543,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             ok_json(out, |o| {
                 o.put("job", &job.id).put("planned", job.total);
             });
-            spawn_run(job, workers, halt_after);
+            spawn_run(job, workers, halt_after)?;
         }
         "status" => status_json(out, &*req_job(shared, &v)?),
         "results" => {
@@ -567,7 +577,7 @@ fn handle(shared: &Arc<Shared>, line: &str, out: &mut String) -> Result<(), Solv
             let halt_after = opt_usize(&v, "halt_after")?;
             let job = shared.jobs.resume(id)?;
             status_json(out, &job);
-            spawn_run(job, workers, halt_after);
+            spawn_run(job, workers, halt_after)?;
         }
         "query" => query(shared, &v, out)?,
         "query_batch" => query_batch(shared, &v, out)?,
