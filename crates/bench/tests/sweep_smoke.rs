@@ -17,18 +17,7 @@ use std::process::{Command, Output};
 
 const SCHEMA: &str = "aerothermo-sweep-events-v1";
 
-const PLAN: &str = r#"{
-  "name": "ci_smoke_sweep",
-  "cases": [
-    {"id": "corr-air9-a", "gas": {"kind": "air9"}, "level": {"kind": "correlation", "k_sg": 0.000174}, "flow": {"rho_inf": 3e-5, "u_inf": 9000, "t_inf": 220, "nose_radius": 0.5, "t_wall": 1500}, "max_retries": 3, "timeout_secs": null, "inject_fault": false},
-    {"id": "corr-air9-b", "gas": {"kind": "air9"}, "level": {"kind": "correlation", "k_sg": 0.000174}, "flow": {"rho_inf": 1e-4, "u_inf": 7000, "t_inf": 220, "nose_radius": 0.5, "t_wall": 1500}, "max_retries": 3, "timeout_secs": null, "inject_fault": false},
-    {"id": "corr-titan-a", "gas": {"kind": "titan", "ch4": 0.05}, "level": {"kind": "correlation", "k_sg": 0.00017}, "flow": {"rho_inf": 3e-5, "u_inf": 10000, "t_inf": 165, "nose_radius": 0.6, "t_wall": 1800}, "max_retries": 3, "timeout_secs": null, "inject_fault": false},
-    {"id": "corr-titan-b", "gas": {"kind": "titan", "ch4": 0.05}, "level": {"kind": "correlation", "k_sg": 0.00017}, "flow": {"rho_inf": 1e-4, "u_inf": 8000, "t_inf": 165, "nose_radius": 0.6, "t_wall": 1800}, "max_retries": 3, "timeout_secs": null, "inject_fault": false},
-    {"id": "vsl-air9", "gas": {"kind": "air9"}, "level": {"kind": "vsl", "n_points": 20, "radiating": false}, "flow": {"rho_inf": 1e-4, "u_inf": 7000, "t_inf": 220, "nose_radius": 0.5, "t_wall": 1500}, "max_retries": 3, "timeout_secs": null, "inject_fault": false},
-    {"id": "vsl-titan", "gas": {"kind": "titan", "ch4": 0.05}, "level": {"kind": "vsl", "n_points": 20, "radiating": false}, "flow": {"rho_inf": 1e-4, "u_inf": 8000, "t_inf": 165, "nose_radius": 0.6, "t_wall": 1800}, "max_retries": 3, "timeout_secs": null, "inject_fault": false}
-  ]
-}
-"#;
+const PLAN: &str = include_str!("smoke-plan.json");
 
 /// Fields every event of a kind must carry.
 fn required(kind: &str) -> Option<&'static [&'static str]> {
