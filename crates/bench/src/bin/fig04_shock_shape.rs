@@ -14,8 +14,8 @@
 //! halves the standoff.
 
 use aerothermo_bench::{
-    emit, log_run_outcome, orbiter_equivalent_body, orbiter_fig4_condition, output_mode,
-    run_options, Report,
+    emit, exit_if_halted, log_run_outcome, orbiter_equivalent_body, orbiter_fig4_condition,
+    output_mode, run_options, Report,
 };
 use aerothermo_core::tables::Table;
 use aerothermo_gas::eq_table::air9_table;
@@ -61,13 +61,10 @@ fn run_case(
     // (per-case restart files, keyed by `label`).
     let run_opts = run_options(label, 6000, 5e-3);
     let outcome = run_controlled(&mut solver, &run_opts).expect("stable Euler run");
-    log_run_outcome(label, &outcome, &run_opts);
     report.record_run_outcome(label, &outcome, nominal_cfl);
-    if outcome.halted {
-        // Defer the halt exit to the caller via the report path: fig04 runs
-        // two cases, so a mid-run halt stops at the first affected case.
-        std::process::exit(aerothermo_bench::HALT_EXIT_CODE);
-    }
+    // fig04 runs two cases, so a mid-run halt stops at the first one.
+    exit_if_halted(&outcome, report);
+    log_run_outcome(label, &outcome, &run_opts);
     report.absorb_telemetry(label, &solver.telemetry);
 
     let m = solver.grid_metrics();

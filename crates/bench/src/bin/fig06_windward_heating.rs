@@ -107,7 +107,7 @@ fn main() {
             let outcome = run_controlled(&mut marcher, &opts)
                 .expect("VSL march unrecoverable (budget exhausted or hard error)");
             report.record_run_outcome("vsl_march", &outcome, VSL_RELAX_NOMINAL);
-            report = exit_if_halted(&outcome, report);
+            exit_if_halted(&outcome, &report);
             match marcher.finish() {
                 Ok(sol) => sol,
                 Err(e) => {

@@ -13,7 +13,7 @@
 
 use aerothermo_atmosphere::us76::Us76;
 use aerothermo_atmosphere::Atmosphere;
-use aerothermo_bench::{emit, log_run_outcome, output_mode, run_options, Report};
+use aerothermo_bench::{emit, exit_if_halted, log_run_outcome, output_mode, run_options, Report};
 use aerothermo_core::tables::Table;
 use aerothermo_gas::eq_table::air9_table;
 use aerothermo_grid::bodies::Hemisphere;
@@ -66,12 +66,9 @@ fn main() {
     // `--checkpoint`/`--restart`/`--max-retries` flags.
     let run_opts = run_options("fig09_n2_contours", 9000, 1e-3);
     let outcome = run_controlled(&mut solver, &run_opts).expect("stable NS run");
-    log_run_outcome("ns_m20", &outcome, &run_opts);
     report.record_run_outcome("ns_m20", &outcome, nominal_cfl);
-    if outcome.halted {
-        report.finish();
-        std::process::exit(aerothermo_bench::HALT_EXIT_CODE);
-    }
+    exit_if_halted(&outcome, &report);
+    log_run_outcome("ns_m20", &outcome, &run_opts);
     report.absorb_telemetry("ns_m20", &solver.inviscid.telemetry);
 
     // N2 mole-fraction field along selected body-normal lines.

@@ -36,13 +36,12 @@ pub use cli::{
 /// success (0) and panics (101) so CI can assert the drill actually halted.
 pub const HALT_EXIT_CODE: i32 = 3;
 
-/// Say on stderr how a controlled run ended: converged, stopped at its
-/// step cap (with the final ratio and the tolerance), or halted.
+/// Say on stderr how a controlled run that was not halted ended: converged,
+/// or stopped at its step cap (with the final ratio and the tolerance).
+/// A halted run exits through [`exit_if_halted`] first.
 pub fn log_run_outcome(label: &str, outcome: &RunOutcome, run_opts: &RunOptions) {
     let (ratio, retries) = (outcome.ratio, outcome.retries);
-    if outcome.halted {
-        eprintln!("# {label}: halted mid-run (--halt-after); resume with --restart");
-    } else if outcome.converged {
+    if outcome.converged {
         eprintln!(
             "# {label}: converged in {} steps (residual ratio {ratio:.2e}, {retries} rollbacks)",
             outcome.units
@@ -205,7 +204,7 @@ impl Report {
     /// # Panics
     /// Panics when the report or trace file cannot be written (CI must
     /// fail loudly, not silently skip its gate).
-    pub fn finish(self) -> bool {
+    pub fn finish(&self) -> bool {
         if let Some(path) = report_path() {
             std::fs::write(&path, self.to_json())
                 .unwrap_or_else(|e| panic!("cannot write report {path}: {e}"));
@@ -223,7 +222,7 @@ impl Report {
 /// Terminate the binary with [`HALT_EXIT_CODE`] when the controlled run
 /// stopped at `--halt-after`, writing the report/trace first so the resume
 /// drill has the restart file *and* a parseable partial report.
-pub fn exit_if_halted(outcome: &RunOutcome, report: Report) -> Report {
+pub fn exit_if_halted(outcome: &RunOutcome, report: &Report) {
     if outcome.halted {
         eprintln!(
             "# halted after {} units (--halt-after); resume with --restart",
@@ -232,7 +231,6 @@ pub fn exit_if_halted(outcome: &RunOutcome, report: Report) -> Report {
         report.finish();
         std::process::exit(HALT_EXIT_CODE);
     }
-    report
 }
 
 /// Print a table in the selected mode with a heading.

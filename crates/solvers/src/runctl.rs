@@ -12,8 +12,8 @@
 //! * [`Snapshot`] — a versioned copy of a solver's persistent state (the
 //!   conserved field, the step counter that drives the startup schedule,
 //!   and the current CFL scale), held in an in-memory ring and optionally
-//!   serialized to an on-disk restart file with a checksummed header
-//!   ([`write_restart`] / [`read_restart`]).
+//!   serialized, with the run's reference residual, to an on-disk restart
+//!   file with a checksummed header ([`write_restart`] / [`read_restart`]).
 //! * [`Steppable`] — the contract a solver implements so the controller
 //!   can own its outer loop: advance one unit (a pseudo-time step or a
 //!   march station), save/restore state, rescale CFL, and name the unit
@@ -106,27 +106,28 @@ impl Snapshot {
         field.copy_from_slice(&self.data);
         Ok(())
     }
+}
 
-    /// FNV-1a checksum over the step counter, the CFL-scale bits, and the
-    /// payload bits — what the restart-file header records and verifies.
-    #[must_use]
-    pub fn checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.step as u64);
-        eat(self.cfl_scale.to_bits());
-        for v in &self.data {
-            eat(v.to_bits());
+/// FNV-1a checksum over the step counter, the CFL-scale bits, the
+/// reference-residual bits and the payload bits — what the restart-file
+/// header records and verifies.
+fn restart_checksum(snap: &Snapshot, reference: f64) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(FNV_PRIME);
         }
-        h
+    };
+    eat(snap.step as u64);
+    eat(snap.cfl_scale.to_bits());
+    eat(reference.to_bits());
+    for v in &snap.data {
+        eat(v.to_bits());
     }
+    h
 }
 
 /// Identity a restart file records so a snapshot is only ever restored into
@@ -145,8 +146,8 @@ pub struct RunMeta {
 
 /// Restart file magic: "ATRC" = AeroThermo Restart Checkpoint.
 const RESTART_MAGIC: [u8; 4] = *b"ATRC";
-/// Restart format version.
-const RESTART_VERSION: u32 = 1;
+/// Restart format version (2 added the reference residual).
+const RESTART_VERSION: u32 = 2;
 
 fn io_err(context: &str, e: &std::io::Error) -> SolverError {
     SolverError::BadInput(format!("restart {context}: {e}"))
@@ -173,12 +174,20 @@ fn read_str(r: &mut impl Read) -> std::io::Result<String> {
 }
 
 /// Serialize a snapshot to `path` with a self-describing, checksummed
-/// header (magic, version, solver tag, gas model, grid shape, step count).
+/// header (magic, version, solver tag, gas model, grid shape, step count,
+/// CFL scale, and the run's `reference` residual — NaN before the run
+/// reached [`Steppable::startup_units`] — so a resumed run measures its
+/// convergence ratio against the same reference).
 ///
 /// # Errors
 /// [`SolverError::BadInput`] on any I/O failure, with the path in the
 /// message.
-pub fn write_restart(path: &Path, meta: &RunMeta, snap: &Snapshot) -> Result<(), SolverError> {
+pub fn write_restart(
+    path: &Path,
+    meta: &RunMeta,
+    snap: &Snapshot,
+    reference: f64,
+) -> Result<(), SolverError> {
     let ctx = format!("write {}", path.display());
     let file = std::fs::File::create(path).map_err(|e| io_err(&ctx, &e))?;
     let mut w = std::io::BufWriter::new(file);
@@ -191,8 +200,9 @@ pub fn write_restart(path: &Path, meta: &RunMeta, snap: &Snapshot) -> Result<(),
             w.write_all(&(dim as u64).to_le_bytes())?;
         }
         w.write_all(&snap.cfl_scale.to_bits().to_le_bytes())?;
+        w.write_all(&reference.to_bits().to_le_bytes())?;
         w.write_all(&(snap.data.len() as u64).to_le_bytes())?;
-        w.write_all(&snap.checksum().to_le_bytes())?;
+        w.write_all(&restart_checksum(snap, reference).to_le_bytes())?;
         for v in &snap.data {
             w.write_all(&v.to_bits().to_le_bytes())?;
         }
@@ -203,18 +213,19 @@ pub fn write_restart(path: &Path, meta: &RunMeta, snap: &Snapshot) -> Result<(),
     Ok(())
 }
 
-/// Deserialize a restart file; verifies magic, version, and the state
-/// checksum.
+/// Deserialize a restart file into its identity, snapshot and reference
+/// residual; verifies magic, version, and the state checksum.
 ///
 /// # Errors
-/// [`SolverError::BadInput`] on I/O failure, malformed/foreign files, or a
-/// checksum mismatch (truncated or corrupted state).
-pub fn read_restart(path: &Path) -> Result<(RunMeta, Snapshot), SolverError> {
+/// [`SolverError::BadInput`] on I/O failure, malformed/foreign files, a
+/// file of another format version, or a checksum mismatch (truncated or
+/// corrupted state).
+pub fn read_restart(path: &Path) -> Result<(RunMeta, Snapshot, f64), SolverError> {
     let ctx = format!("read {}", path.display());
     let file = std::fs::File::open(path).map_err(|e| io_err(&ctx, &e))?;
     let mut r = std::io::BufReader::new(file);
     let inner =
-        |r: &mut std::io::BufReader<std::fs::File>| -> std::io::Result<(RunMeta, Snapshot, u64)> {
+        |r: &mut std::io::BufReader<std::fs::File>| -> std::io::Result<(RunMeta, Snapshot, f64, u64)> {
             let magic = read_exact_buf::<4>(r)?;
             if magic != RESTART_MAGIC {
                 return Err(std::io::Error::new(
@@ -236,6 +247,7 @@ pub fn read_restart(path: &Path) -> Result<(RunMeta, Snapshot), SolverError> {
                 *d = u64::from_le_bytes(read_exact_buf::<8>(r)?) as usize;
             }
             let cfl_scale = f64::from_bits(u64::from_le_bytes(read_exact_buf::<8>(r)?));
+            let reference = f64::from_bits(u64::from_le_bytes(read_exact_buf::<8>(r)?));
             let n_data = u64::from_le_bytes(read_exact_buf::<8>(r)?) as usize;
             let checksum = u64::from_le_bytes(read_exact_buf::<8>(r)?);
             let mut data = Vec::with_capacity(n_data);
@@ -253,17 +265,18 @@ pub fn read_restart(path: &Path) -> Result<(RunMeta, Snapshot), SolverError> {
                     cfl_scale,
                     data,
                 },
+                reference,
                 checksum,
             ))
         };
-    let (meta, snap, checksum) = inner(&mut r).map_err(|e| io_err(&ctx, &e))?;
-    if snap.checksum() != checksum {
+    let (meta, snap, reference, checksum) = inner(&mut r).map_err(|e| io_err(&ctx, &e))?;
+    if restart_checksum(&snap, reference) != checksum {
         return Err(SolverError::BadInput(format!(
             "restart {}: checksum mismatch (file truncated or corrupted)",
             path.display()
         )));
     }
-    Ok((meta, snap))
+    Ok((meta, snap, reference))
 }
 
 /// The contract a solver implements so [`run_controlled`] can own its outer
@@ -514,9 +527,10 @@ fn run_inner<S: Steppable + ?Sized>(
     fl: &mut FlightCtl<'_>,
 ) -> Result<RunOutcome, SolverError> {
     let t0 = std::time::Instant::now();
+    let mut reference = f64::NAN;
 
     if let Some(path) = &opts.restart_from {
-        let (meta, snap) = read_restart(path)?;
+        let (meta, snap, saved_reference) = read_restart(path)?;
         let own = solver.meta();
         if meta.tag != own.tag || meta.shape != own.shape {
             return Err(SolverError::BadInput(format!(
@@ -529,6 +543,7 @@ fn run_inner<S: Steppable + ?Sized>(
             )));
         }
         solver.restore_state(&snap)?;
+        reference = saved_reference;
     }
 
     let mut ring: VecDeque<Snapshot> = VecDeque::with_capacity(RING_DEPTH);
@@ -540,7 +555,6 @@ fn run_inner<S: Steppable + ?Sized>(
     let mut cfl_history: Vec<f64> = Vec::new();
     let mut scale = solver.cfl_scale();
     let mut inject = opts.inject_nan_at;
-    let mut reference = f64::NAN;
     let mut last_res = f64::NAN;
     let mut last_ratio = 1.0;
     let mut converged = false;
@@ -561,6 +575,9 @@ fn run_inner<S: Steppable + ?Sized>(
                 last_res = r;
                 clean += 1;
                 let unit = solver.progress();
+                if unit0 == startup {
+                    reference = r.max(1e-300);
+                }
                 cfl_history.push(scale);
                 // Checkpoint *before* any fault injection so neither the
                 // ring nor the restart file ever holds poisoned state.
@@ -568,7 +585,7 @@ fn run_inner<S: Steppable + ?Sized>(
                 if opts.checkpoint_every != 0 && unit.is_multiple_of(opts.checkpoint_every) {
                     let snap = solver.save_state();
                     if let Some(path) = &opts.checkpoint_path {
-                        write_restart(path, &solver.meta(), &snap)?;
+                        write_restart(path, &solver.meta(), &snap, reference)?;
                     }
                     if ring.len() == RING_DEPTH {
                         ring.pop_front();
@@ -606,16 +623,11 @@ fn run_inner<S: Steppable + ?Sized>(
                     }
                     clean = 0;
                 }
-                if opts.tol > 0.0 {
-                    if unit0 == startup {
-                        reference = r.max(1e-300);
-                    }
-                    if reference.is_finite() {
-                        last_ratio = r / reference;
-                        if last_ratio < opts.tol {
-                            converged = true;
-                            break;
-                        }
+                if opts.tol > 0.0 && reference.is_finite() {
+                    last_ratio = r / reference;
+                    if last_ratio < opts.tol {
+                        converged = true;
+                        break;
                     }
                 }
                 if opts.halt_after == Some(unit) {
@@ -1034,9 +1046,10 @@ mod tests {
             gas: "ideal air".into(),
             shape: (3, 7, 4),
         };
-        write_restart(&path, &meta, &snap).expect("write");
-        let (meta2, snap2) = read_restart(&path).expect("read");
+        write_restart(&path, &meta, &snap, 2.5e-7).expect("write");
+        let (meta2, snap2, reference) = read_restart(&path).expect("read");
         assert_eq!(meta, meta2);
+        assert_eq!(reference.to_bits(), 2.5e-7_f64.to_bits());
         assert_eq!(snap2.step, snap.step);
         assert_eq!(snap2.cfl_scale.to_bits(), snap.cfl_scale.to_bits());
         assert_eq!(snap2.data.len(), snap.data.len());
@@ -1061,7 +1074,7 @@ mod tests {
             gas: "none".into(),
             shape: (4, 4, 1),
         };
-        write_restart(&path, &meta, &snap).expect("write");
+        write_restart(&path, &meta, &snap, f64::NAN).expect("write");
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 3;
         bytes[last] ^= 0xff;
@@ -1086,7 +1099,7 @@ mod tests {
             gas: "none".into(),
             shape: (9, 9, 9),
         };
-        write_restart(&path, &meta, &snap).expect("write");
+        write_restart(&path, &meta, &snap, f64::NAN).expect("write");
         let mut toy = ToyRelax::new(None);
         let err = run_controlled(
             &mut toy,
@@ -1099,6 +1112,62 @@ mod tests {
         .expect_err("foreign restart");
         assert!(format!("{err}").contains("incompatible"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_one_restart_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("runctl-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy.restart");
+        let toy = ToyRelax::new(None);
+        write_restart(&path, &toy.meta(), &toy.save_state(), f64::NAN).expect("write");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1_u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_restart(&path).expect_err("version 1 carries no reference");
+        assert!(matches!(err, SolverError::BadInput(_)), "got: {err}");
+        assert!(
+            format!("{err}").contains("unsupported restart version 1"),
+            "got: {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resumed_run_converges_like_the_uninterrupted_one() {
+        // Start-up 5: the reference is the residual of the unit starting at
+        // 5, so a run resumed at unit 10 can only take it from the file.
+        let dir = std::env::temp_dir().join(format!("runctl-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy.restart");
+        let run = |extra: RunOptions| {
+            let mut toy = ToyRelax::new(None);
+            toy.startup = 5;
+            let opts = RunOptions {
+                max_units: 60,
+                tol: 1e-9,
+                max_retries: 0,
+                ..extra
+            };
+            run_controlled(&mut toy, &opts).expect("clean run")
+        };
+        let whole = run(RunOptions::default());
+        let halted = run(RunOptions {
+            checkpoint_every: 5,
+            checkpoint_path: Some(path.clone()),
+            halt_after: Some(10),
+            ..RunOptions::default()
+        });
+        assert!(halted.halted && halted.units == 10);
+        let resumed = run(RunOptions {
+            restart_from: Some(path),
+            ..RunOptions::default()
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(whole.converged);
+        assert_eq!(resumed.converged, whole.converged);
+        assert_eq!(resumed.units, whole.units);
+        assert_eq!(resumed.ratio.to_bits(), whole.ratio.to_bits());
     }
 
     #[test]

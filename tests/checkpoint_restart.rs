@@ -71,8 +71,8 @@ fn assert_bitwise_resume<S: Steppable>(mut a: S, mut b: S, warmup: usize, tail: 
     // Route the snapshot through the restart file, not just memory: the
     // byte-level round trip is part of the contract under test.
     let path = scratch_path(stem);
-    write_restart(&path, &a.meta(), &snap).expect("write restart");
-    let (meta, snap2) = read_restart(&path).expect("read restart");
+    write_restart(&path, &a.meta(), &snap, f64::NAN).expect("write restart");
+    let (meta, snap2, _) = read_restart(&path).expect("read restart");
     std::fs::remove_file(&path).ok();
     assert_eq!(meta.tag, a.meta().tag);
     assert_eq!(meta.shape, a.meta().shape);
@@ -220,7 +220,7 @@ fn corrupted_restart_file_is_rejected() {
         shape: (2, 2, 1),
     };
     let path = scratch_path("corrupt");
-    write_restart(&path, &meta, &snap).expect("write restart");
+    write_restart(&path, &meta, &snap, f64::NAN).expect("write restart");
     let mut bytes = std::fs::read(&path).expect("read back");
     let last = bytes.len() - 3;
     bytes[last] ^= 0x40; // flip a payload bit
@@ -271,8 +271,8 @@ proptest! {
         let tag = format!("tag{:04x}", seed & 0xffff);
         let meta = RunMeta { tag: tag.clone(), gas: "prop".into(), shape: (bits.len(), 1, 1) };
         let path = scratch_path("prop");
-        write_restart(&path, &meta, &snap).unwrap();
-        let (meta2, snap2) = read_restart(&path).unwrap();
+        write_restart(&path, &meta, &snap, f64::NAN).unwrap();
+        let (meta2, snap2, _) = read_restart(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(meta2.tag, tag);
         prop_assert_eq!(meta2.shape, meta.shape);
