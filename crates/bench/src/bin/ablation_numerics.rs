@@ -37,7 +37,6 @@ fn sod_l1_error(limiter: Limiter, ncells: usize) -> f64 {
         startup_steps: 0,
         cfl: 0.4,
         limiter,
-        ..EulerOptions::default()
     };
     let mut solver = EulerSolver::new(&grid, &gas, bc, opts, (1.0, 0.0, 0.0, 1.0));
     for i in ncells / 2..ncells {
@@ -98,7 +97,6 @@ fn bow_standoff(limiter: Limiter) -> f64 {
         cfl: 0.4,
         startup_steps: 300,
         limiter,
-        ..EulerOptions::default()
     };
     let mut solver = EulerSolver::new(&grid, &gas, bc, opts, fs);
     run_controlled(

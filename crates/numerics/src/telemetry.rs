@@ -565,14 +565,15 @@ impl Default for ResidualMonitor {
     }
 }
 
-/// Per-run telemetry sink: wall-clock phases, residual histories, and
-/// audit findings.
+/// Per-run telemetry sink: wall-clock phases, residual histories, audit
+/// findings, and the reference residual convergence is measured against.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     started: Instant,
     phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<AuditFinding>,
+    reference_residual: f64,
 }
 
 impl RunTelemetry {
@@ -584,6 +585,7 @@ impl RunTelemetry {
             phases: Vec::new(),
             histories: Vec::new(),
             audits: Vec::new(),
+            reference_residual: f64::NAN,
         }
     }
 
@@ -649,6 +651,19 @@ impl RunTelemetry {
     #[must_use]
     pub fn histories(&self) -> &[(String, Vec<f64>)] {
         &self.histories
+    }
+
+    /// The residual a run's convergence ratio is taken against; NaN until
+    /// a run controller has captured it. It lives here, with the solver,
+    /// so a later run of the same solver measures against the same value.
+    #[must_use]
+    pub fn reference_residual(&self) -> f64 {
+        self.reference_residual
+    }
+
+    /// Record the reference residual (see [`Self::reference_residual`]).
+    pub fn set_reference_residual(&mut self, reference: f64) {
+        self.reference_residual = reference;
     }
 }
 

@@ -18,7 +18,10 @@
 //! (`AusmFace`, also behind the reacting and PNS cross-flow fluxes),
 //! the boundary ghost states and ghost-face flux, the convective spectral
 //! radius, and one stride-based face stencil (`Line`) that walks
-//! i-lines and j-lines alike, in scalar and four-lane form.
+//! i-lines and j-lines alike, in scalar and four-lane form. So does the
+//! explicit operator around them: each field solver's residual fill
+//! writes per-cell residual and time-step buffers without touching the
+//! state, and one `explicit_update` advances euler2d, ns2d and reacting.
 
 use crate::audit;
 use aerothermo_gas::GasModel;
@@ -26,11 +29,18 @@ use aerothermo_grid::{Metrics, StructuredGrid};
 use aerothermo_numerics::limiters::Limiter;
 use aerothermo_numerics::simd::F64x4;
 use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverError};
-use aerothermo_numerics::{trace, Field3};
+use aerothermo_numerics::{trace, Field2, Field3};
 use rayon::prelude::*;
 
 /// Number of conserved variables.
 pub const NEQ: usize = 4;
+
+/// Density floor of the primitive decode, the reconstruction and the
+/// explicit update \[kg/m³\].
+pub(crate) const RHO_FLOOR: f64 = 1e-10;
+
+/// Pressure floor of the primitive decode and the reconstruction \[Pa\].
+const P_FLOOR: f64 = 1e-6;
 
 /// Structure-of-arrays cell primitives, row-major `i * ncj + j` per lane.
 ///
@@ -146,7 +156,8 @@ struct Prim4 {
 }
 
 /// Reusable face-based-assembly scratch owned by the solver: cached cell
-/// primitives and the single-sweep face fluxes. Allocated on the first
+/// primitives, the single-sweep face fluxes, and the per-cell residual and
+/// time-step buffers the explicit update reads. Allocated on the first
 /// step, reused (never reallocated) afterwards — the step loop itself is
 /// allocation-free.
 #[derive(Debug, Default)]
@@ -159,6 +170,10 @@ pub(crate) struct EulerScratch {
     /// j-face fluxes, laid out `i * (ncj + 1) + jface` (each cell row's
     /// faces are contiguous).
     pub(crate) fj: Vec<[f64; NEQ]>,
+    /// Net cell residuals, row-major `i * ncj + j`.
+    pub(crate) res: Vec<[f64; NEQ]>,
+    /// Cell time steps, row-major `i * ncj + j`.
+    pub(crate) dt: Vec<f64>,
 }
 
 /// Primitive state at a cell.
@@ -221,10 +236,6 @@ pub struct EulerOptions {
     pub startup_steps: usize,
     /// Slope limiter for MUSCL.
     pub limiter: Limiter,
-    /// Density floor \[kg/m³\].
-    pub rho_floor: f64,
-    /// Pressure floor \[Pa\].
-    pub p_floor: f64,
 }
 
 impl Default for EulerOptions {
@@ -233,8 +244,6 @@ impl Default for EulerOptions {
             cfl: 0.5,
             startup_steps: 200,
             limiter: Limiter::Minmod,
-            rho_floor: 1e-10,
-            p_floor: 1e-6,
         }
     }
 }
@@ -453,6 +462,44 @@ pub(crate) fn convective_spectral_sum(m: &Metrics, i: usize, j: usize, q: &Primi
         + face(m.sj_x[(i, j + 1)], m.sj_r[(i, j + 1)])
 }
 
+/// The explicit update every field solver shares: `u += Δt/V·r` in each
+/// cell, from the residuals `res` (`u`'s depth per cell) and the time
+/// steps `dt`, both row-major `i * ncj + j`; then the first
+/// `density_rows` rows of `u` are floored at `floor`. Returns the L2 norm
+/// per cell of the density residual (those rows' sum over V), summed in
+/// cell order on one thread.
+pub(crate) fn explicit_update(
+    u: &mut Field3<f64>,
+    volume: &Field2<f64>,
+    res: &[f64],
+    dt: &[f64],
+    density_rows: usize,
+    floor: f64,
+) -> f64 {
+    let neq = u.nk();
+    let cells = u
+        .as_mut_slice()
+        .chunks_exact_mut(neq)
+        .zip(res.chunks_exact(neq));
+    let mut resnorm = 0.0;
+    for ((cell, r), (dt, v)) in cells.zip(dt.iter().zip(volume.as_slice())) {
+        let scale = dt / v;
+        for (c, r) in cell.iter_mut().zip(r) {
+            *c += scale * r;
+        }
+        let mut drho = 0.0;
+        for (c, r) in cell[..density_rows].iter_mut().zip(r) {
+            if *c < floor {
+                *c = floor;
+            }
+            drho += r;
+        }
+        let r = drho / v;
+        resnorm += r * r;
+    }
+    (resnorm / dt.len() as f64).sqrt()
+}
+
 /// The finite-volume Euler solver.
 pub struct EulerSolver<'a> {
     grid: &'a StructuredGrid,
@@ -462,7 +509,7 @@ pub struct EulerSolver<'a> {
     opts: EulerOptions,
     /// Conserved variables, shape (nci, ncj, NEQ).
     pub u: Field3<f64>,
-    steps_taken: usize,
+    pub(crate) steps_taken: usize,
     /// Run-control CFL scale (1.0 = nominal; halved on rollback).
     cfl_scale: f64,
     /// Run-control safety mode: force first-order reconstruction
@@ -555,7 +602,7 @@ impl<'a> EulerSolver<'a> {
     #[must_use]
     pub fn internal_energy(&self, i: usize, j: usize) -> f64 {
         let c = self.u.vector(i, j);
-        let rho = c[0].max(self.opts.rho_floor);
+        let rho = c[0].max(RHO_FLOOR);
         let ux = c[1] / rho;
         let ur = c[2] / rho;
         let e_tot = c[3] / rho;
@@ -563,7 +610,7 @@ impl<'a> EulerSolver<'a> {
     }
 
     fn primitive_of(&self, c: &[f64]) -> Primitive {
-        let rho = c[0].max(self.opts.rho_floor);
+        let rho = c[0].max(RHO_FLOOR);
         let ux = c[1] / rho;
         let ur = c[2] / rho;
         let e_tot = c[3] / rho;
@@ -571,7 +618,7 @@ impl<'a> EulerSolver<'a> {
         // The paired lookup shares the EOS setup work (table coordinates,
         // clamps) and is bitwise identical to the two individual calls.
         let (p_raw, a_raw) = self.gas.pressure_sound_speed(rho, e);
-        let p = p_raw.max(self.opts.p_floor);
+        let p = p_raw.max(P_FLOOR);
         let a = a_raw.max(1.0);
         Primitive {
             rho,
@@ -605,8 +652,8 @@ impl<'a> EulerSolver<'a> {
         let s1 = lim.slope(dl[1], du[1]);
         let s2 = lim.slope(dl[2], du[2]);
         let s3 = lim.slope(dl[3], du[3]);
-        let rho = (c.rho + sign * 0.5 * s0).max(self.opts.rho_floor);
-        let p = (c.p + sign * 0.5 * s3).max(self.opts.p_floor);
+        let rho = (c.rho + sign * 0.5 * s0).max(RHO_FLOOR);
+        let p = (c.p + sign * 0.5 * s3).max(P_FLOOR);
         let e = self.gas.energy(rho, p);
         let ux = c.ux + sign * 0.5 * s1;
         let ur = c.ur + sign * 0.5 * s2;
@@ -644,8 +691,8 @@ impl<'a> EulerSolver<'a> {
         // `sign` is ±1, so `sign * 0.5` is exact and the splat-multiply
         // reproduces the scalar `sign * 0.5 * s` product order.
         let half = F64x4::splat(sign * 0.5);
-        let rho = (c.rho + half * s0).max(F64x4::splat(self.opts.rho_floor));
-        let p = (c.p + half * s3).max(F64x4::splat(self.opts.p_floor));
+        let rho = (c.rho + half * s0).max(F64x4::splat(RHO_FLOOR));
+        let p = (c.p + half * s3).max(F64x4::splat(P_FLOOR));
         let e = F64x4::from_array(self.gas.energy4(rho.to_array(), p.to_array()));
         let ux = c.ux + half * s1;
         let ur = c.ur + half * s2;
@@ -991,75 +1038,63 @@ impl<'a> EulerSolver<'a> {
         cfl * m.volume[(i, j)] / convective_spectral_sum(m, i, j, q).max(1e-300)
     }
 
-    /// Advance one explicit step with local time stepping; returns the
-    /// density-residual L2 norm (per cell).
-    pub fn step(&mut self) -> f64 {
-        let _sp = trace::span("euler_step");
+    /// This step's start-up schedule, `(first_order, cfl)`: the shared
+    /// [`crate::runctl::startup_schedule`] at the run-control CFL scale,
+    /// with the run-control first-order fallback folded in.
+    pub(crate) fn schedule(&self) -> (bool, f64) {
         let (startup, cfl) = crate::runctl::startup_schedule(
             self.steps_taken,
             self.opts.startup_steps,
             self.cfl_scale * self.opts.cfl,
         );
-        let first_order = startup || self.force_first_order;
-        let nci = self.nci();
-        let ncj = self.ncj();
+        (startup || self.force_first_order, cfl)
+    }
 
-        // Face-based assembly into solver-owned scratch: primitives cached
-        // once, each face swept once, no per-step allocation after warmup.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.assemble_faces(&mut scratch, first_order);
-
-        let mut resnorm = 0.0;
-        for i in 0..nci {
-            for j in 0..ncj {
-                let res = self.gather_residual(&scratch, i, j);
-                let dt = self.local_dt(&scratch.prim.get(i * ncj + j), i, j, cfl);
-                let v = self.metrics.volume[(i, j)];
-                let cell = self.u.vector_mut(i, j);
-                let scale = dt / v;
-                for k in 0..NEQ {
-                    cell[k] += scale * res[k];
-                }
-                if cell[0] < self.opts.rho_floor {
-                    cell[0] = self.opts.rho_floor;
-                }
-                let r = res[0] / v;
-                resnorm += r * r;
-            }
+    /// The residual operator: assemble the faces of the current state and
+    /// gather every cell's net residual into `scratch.res`. Reads `u`,
+    /// never writes it; `scratch.dt` is sized for the caller's time steps.
+    pub(crate) fn fill_residual(&self, scratch: &mut EulerScratch, first_order: bool) {
+        self.assemble_faces(scratch, first_order);
+        let (n, ncj) = (self.nci() * self.ncj(), self.ncj());
+        scratch.res.resize(n, [0.0; NEQ]);
+        scratch.dt.resize(n, 0.0);
+        for idx in 0..n {
+            scratch.res[idx] = self.gather_residual(scratch, idx / ncj, idx % ncj);
         }
+    }
+
+    /// Apply [`explicit_update`] to the residual and time-step buffers of
+    /// `scratch`, hand the scratch back to the solver and count the step;
+    /// returns the density-residual norm.
+    pub(crate) fn update(&mut self, scratch: EulerScratch) -> f64 {
+        let (res, dt) = (scratch.res.as_flattened(), &scratch.dt);
+        let norm = explicit_update(&mut self.u, &self.metrics.volume, res, dt, 1, RHO_FLOOR);
         self.scratch = scratch;
         self.steps_taken += 1;
-        (resnorm / (nci * ncj) as f64).sqrt()
+        norm
+    }
+
+    /// Advance one explicit step with local time stepping; returns the
+    /// density-residual L2 norm (per cell).
+    pub fn step(&mut self) -> f64 {
+        let _sp = trace::span("euler_step");
+        let (first_order, cfl) = self.schedule();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.fill_residual(&mut scratch, first_order);
+        let ncj = self.ncj();
+        for (idx, dt) in scratch.dt.iter_mut().enumerate() {
+            *dt = self.local_dt(&scratch.prim.get(idx), idx / ncj, idx % ncj, cfl);
+        }
+        self.update(scratch)
     }
 
     /// Advance one *time-accurate* step with a caller-supplied global time
     /// step (for unsteady verification problems like the Sod tube).
     pub fn step_global_dt(&mut self, dt: f64) {
-        let first_order = crate::runctl::startup_schedule(
-            self.steps_taken,
-            self.opts.startup_steps,
-            self.opts.cfl,
-        )
-        .0 || self.force_first_order;
-        let nci = self.nci();
-        let ncj = self.ncj();
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.assemble_faces(&mut scratch, first_order);
-        for i in 0..nci {
-            for j in 0..ncj {
-                let res = self.gather_residual(&scratch, i, j);
-                let v = self.metrics.volume[(i, j)];
-                let cell = self.u.vector_mut(i, j);
-                for k in 0..NEQ {
-                    cell[k] += dt / v * res[k];
-                }
-                if cell[0] < self.opts.rho_floor {
-                    cell[0] = self.opts.rho_floor;
-                }
-            }
-        }
-        self.scratch = scratch;
-        self.steps_taken += 1;
+        self.fill_residual(&mut scratch, self.schedule().0);
+        scratch.dt.fill(dt);
+        self.update(scratch);
     }
 
     /// Global flux budget per conserved equation: `(net, gross)` where
@@ -1496,22 +1531,21 @@ pub(crate) mod tests {
         PrimSoA::pack(&cells)
     }
 
-    /// First cell and equation where the face-based assembly and the
+    /// First cell and equation where the residual operator and the
     /// cell-by-cell reference residual differ, with both values.
     fn face_vs_cell_mismatch(
         solver: &EulerSolver,
         first_order: bool,
     ) -> Option<(usize, usize, usize, f64, f64)> {
         let mut scratch = EulerScratch::default();
-        solver.assemble_faces(&mut scratch, first_order);
+        solver.fill_residual(&mut scratch, first_order);
         let prim = prims(solver);
-        for i in 0..solver.nci() {
-            for j in 0..solver.ncj() {
-                let fb = solver.gather_residual(&scratch, i, j);
-                let cc = solver.cell_residual(&prim, i, j, first_order);
-                if let Some(k) = (0..NEQ).find(|&k| fb[k] != cc[k]) {
-                    return Some((i, j, k, fb[k], cc[k]));
-                }
+        let ncj = solver.ncj();
+        for (idx, fb) in scratch.res.iter().enumerate() {
+            let (i, j) = (idx / ncj, idx % ncj);
+            let cc = solver.cell_residual(&prim, i, j, first_order);
+            if let Some(k) = (0..NEQ).find(|&k| fb[k] != cc[k]) {
+                return Some((i, j, k, fb[k], cc[k]));
             }
         }
         None
@@ -1634,8 +1668,8 @@ pub(crate) mod tests {
             for k in 0..NEQ {
                 cell[k] += scale * res[k];
             }
-            if cell[0] < solver.opts.rho_floor {
-                cell[0] = solver.opts.rho_floor;
+            if cell[0] < RHO_FLOOR {
+                cell[0] = RHO_FLOOR;
             }
             let r = res[0] / v;
             resnorm += r * r;

@@ -14,7 +14,8 @@
 #[cfg(test)]
 use crate::euler2d::Bc;
 use crate::euler2d::{
-    convective_spectral_sum, BcSet, EulerOptions, EulerSolver, PrimSoA, Primitive, NEQ,
+    convective_spectral_sum, BcSet, EulerOptions, EulerScratch, EulerSolver, PrimSoA, Primitive,
+    NEQ,
 };
 use aerothermo_gas::transport::sutherland_air;
 use aerothermo_gas::GasModel;
@@ -156,13 +157,6 @@ pub struct NsSolver<'a> {
     transport: Transport,
     /// Isothermal wall temperature \[K\].
     pub t_wall: f64,
-    steps: usize,
-    startup_steps: usize,
-    cfl: f64,
-    /// Run-control CFL scale (1.0 = nominal; halved on rollback).
-    cfl_scale: f64,
-    /// Run-control safety mode: force first-order reconstruction.
-    force_first_order: bool,
     vscratch: NsScratch,
 }
 
@@ -181,18 +175,10 @@ impl<'a> NsSolver<'a> {
         transport: Transport,
         t_wall: f64,
     ) -> Self {
-        let startup_steps = opts.startup_steps;
-        let cfl = opts.cfl;
-        let inviscid = EulerSolver::new(grid, gas, bc, opts, freestream);
         Self {
-            inviscid,
+            inviscid: EulerSolver::new(grid, gas, bc, opts, freestream),
             transport,
             t_wall,
-            steps: 0,
-            startup_steps,
-            cfl,
-            cfl_scale: 1.0,
-            force_first_order: false,
             vscratch: NsScratch::default(),
         }
     }
@@ -284,58 +270,44 @@ impl<'a> NsSolver<'a> {
         counters::add(Counter::FacesEvaluated, (nci * ncj) as u64);
     }
 
+    /// The residual operator: the Euler fill plus the viscous j-faces in
+    /// `esc.res`, and each cell's viscous local time step at `cfl` in
+    /// `esc.dt`. Reads the state, never writes it.
+    fn fill_residual(
+        &self,
+        esc: &mut EulerScratch,
+        vsc: &mut NsScratch,
+        first_order: bool,
+        cfl: f64,
+    ) {
+        self.inviscid.fill_residual(esc, first_order);
+        self.assemble_viscous(&esc.prim, vsc);
+        let ncj = self.inviscid.ncj();
+        for (idx, (res, dt)) in esc.res.iter_mut().zip(&mut esc.dt).enumerate() {
+            let (i, j) = (idx / ncj, idx % ncj);
+            // Viscous gather in viscous_residual's accumulation order:
+            // −bottom face, +top face.
+            let fb = &vsc.fv[i * (ncj + 1) + j];
+            let ft = &vsc.fv[i * (ncj + 1) + j + 1];
+            for k in 0..NEQ {
+                let mut vv = 0.0;
+                vv -= fb[k];
+                vv += ft[k];
+                res[k] += vv;
+            }
+            *dt = self.viscous_dt(&esc.prim.get(idx), vsc.temp[idx], i, j, cfl);
+        }
+    }
+
     /// One explicit step; returns the density-residual norm.
     pub fn step(&mut self) -> f64 {
         let _sp = trace::span("ns_step");
-        let (startup, cfl) = crate::runctl::startup_schedule(
-            self.steps,
-            self.startup_steps,
-            self.cfl_scale * self.cfl,
-        );
-        let first_order = startup || self.force_first_order;
-        let nci = self.inviscid.nci();
-        let ncj = self.inviscid.ncj();
-
-        // Face-based assembly: inviscid faces through the Euler scratch,
-        // viscous j-faces through the NS scratch — each face evaluated once,
-        // no per-step allocation after warmup.
+        let (first_order, cfl) = self.inviscid.schedule();
         let mut esc = std::mem::take(&mut self.inviscid.scratch);
-        self.inviscid.assemble_faces(&mut esc, first_order);
         let mut vsc = std::mem::take(&mut self.vscratch);
-        self.assemble_viscous(&esc.prim, &mut vsc);
-
-        let mut resnorm = 0.0;
-        for i in 0..nci {
-            for j in 0..ncj {
-                let idx = i * ncj + j;
-                let mut res = self.inviscid.gather_residual(&esc, i, j);
-                // Viscous gather in viscous_residual's accumulation order:
-                // −bottom face, +top face.
-                let fb = &vsc.fv[i * (ncj + 1) + j];
-                let ft = &vsc.fv[i * (ncj + 1) + j + 1];
-                for k in 0..NEQ {
-                    let mut vv = 0.0;
-                    vv -= fb[k];
-                    vv += ft[k];
-                    res[k] += vv;
-                }
-                let dt = self.viscous_dt(&esc.prim.get(idx), vsc.temp[idx], i, j, cfl);
-                let v = self.inviscid.grid_metrics().volume[(i, j)];
-                let cell = self.inviscid.u.vector_mut(i, j);
-                for k in 0..NEQ {
-                    cell[k] += dt / v * res[k];
-                }
-                if cell[0] < 1e-12 {
-                    cell[0] = 1e-12;
-                }
-                let r = res[0] / v;
-                resnorm += r * r;
-            }
-        }
-        self.inviscid.scratch = esc;
+        self.fill_residual(&mut esc, &mut vsc, first_order, cfl);
         self.vscratch = vsc;
-        self.steps += 1;
-        (resnorm / (nci * ncj) as f64).sqrt()
+        self.inviscid.update(esc)
     }
 
     /// Time step with the viscous spectral radius added, given the cell's
@@ -384,7 +356,7 @@ impl<'a> NsSolver<'a> {
 
 impl crate::runctl::Steppable for NsSolver<'_> {
     fn advance(&mut self) -> Result<f64, SolverError> {
-        let n = self.steps;
+        let n = self.progress();
         let r = self.step();
         if !r.is_finite() {
             return Err(self
@@ -404,41 +376,34 @@ impl crate::runctl::Steppable for NsSolver<'_> {
     }
 
     fn progress(&self) -> usize {
-        self.steps
+        self.inviscid.progress()
     }
 
     fn startup_units(&self) -> usize {
-        self.startup_steps
+        self.inviscid.startup_units()
     }
 
-    /// The conserved field lives in the inviscid core; the NS layer adds
-    /// only its own step counter — both scratch structs are recomputed
+    /// The Euler core's snapshot: it owns the conserved field, the step
+    /// counter and the CFL scale, and both scratch structs are recomputed
     /// every step.
     fn save_state(&self) -> crate::runctl::Snapshot {
-        crate::runctl::Snapshot {
-            step: self.steps,
-            cfl_scale: self.cfl_scale,
-            data: self.inviscid.u.as_slice().to_vec(),
-        }
+        self.inviscid.save_state()
     }
 
     fn restore_state(&mut self, snap: &crate::runctl::Snapshot) -> Result<(), SolverError> {
-        snap.restore_field("ns2d", self.inviscid.u.as_mut_slice())?;
-        self.steps = snap.step;
-        self.cfl_scale = snap.cfl_scale;
-        Ok(())
+        self.inviscid.restore_state(snap)
     }
 
     fn cfl_scale(&self) -> f64 {
-        self.cfl_scale
+        self.inviscid.cfl_scale()
     }
 
     fn set_cfl_scale(&mut self, scale: f64) {
-        self.cfl_scale = scale;
+        self.inviscid.set_cfl_scale(scale);
     }
 
     fn set_first_order_fallback(&mut self, on: bool) {
-        self.force_first_order = on;
+        self.inviscid.set_first_order_fallback(on);
     }
 
     fn meta(&self) -> crate::runctl::RunMeta {
@@ -455,7 +420,7 @@ impl crate::runctl::Steppable for NsSolver<'_> {
 
     fn finalize(&mut self, converged: bool) -> Result<(), SolverError> {
         if crate::audit::cadence() != 0 {
-            let findings = crate::audit::audit_ns(&self.inviscid, self.steps, converged);
+            let findings = crate::audit::audit_ns(&self.inviscid, self.progress(), converged);
             crate::audit::apply(&mut self.inviscid.telemetry, findings)?;
         }
         Ok(())
@@ -471,8 +436,8 @@ impl crate::runctl::Steppable for NsSolver<'_> {
 mod tests {
     use super::*;
     use crate::blayer::{fay_riddell, newtonian_velocity_gradient, FayRiddellInputs};
-    use crate::euler2d::EulerScratch;
-    use crate::runctl::{run_to, Steppable};
+    use crate::euler2d::RHO_FLOOR;
+    use crate::runctl::{run_to, startup_schedule, Steppable};
     use aerothermo_gas::IdealGas;
     use aerothermo_grid::bodies::Hemisphere;
     use aerothermo_grid::{stretch, Geometry, StructuredGrid};
@@ -537,43 +502,43 @@ mod tests {
         solver
     }
 
-    /// First cell and equation where the face-based (inviscid + viscous)
-    /// assembly and the cell-by-cell reference residual differ, with both
-    /// values.
-    fn face_vs_cell_mismatch(
-        solver: &NsSolver,
-        first_order: bool,
-    ) -> Option<(usize, usize, usize, f64, f64)> {
+    /// The oracle residual of every cell: the inviscid `cell_residual` plus
+    /// `viscous_residual`, fed primitives and temperatures decoded cell by
+    /// cell (never the step's caches), so a wrong cache fill fails too.
+    fn oracle_residuals(solver: &NsSolver, first_order: bool) -> Vec<[f64; NEQ]> {
         let ncj = solver.inviscid.ncj();
-        let mut esc = EulerScratch::default();
-        solver.inviscid.assemble_faces(&mut esc, first_order);
-        let mut vsc = NsScratch::default();
-        solver.assemble_viscous(&esc.prim, &mut vsc);
-        // The oracle decodes every cell on its own, so the comparison also
-        // checks the primitive and temperature caches the gather reads.
+        let n = solver.inviscid.nci() * ncj;
         let prim = crate::euler2d::tests::prims(&solver.inviscid);
-        let temp: Vec<f64> = (0..solver.inviscid.nci() * ncj)
+        let temp: Vec<f64> = (0..n)
             .map(|idx| solver.temperature(idx / ncj, idx % ncj))
             .collect();
-        for i in 0..solver.inviscid.nci() {
-            for j in 0..ncj {
-                let mut fb = solver.inviscid.gather_residual(&esc, i, j);
-                let flo = &vsc.fv[i * (ncj + 1) + j];
-                let fhi = &vsc.fv[i * (ncj + 1) + j + 1];
-                for k in 0..NEQ {
-                    let mut vv = 0.0;
-                    vv -= flo[k];
-                    vv += fhi[k];
-                    fb[k] += vv;
-                }
+        (0..n)
+            .map(|idx| {
+                let (i, j) = (idx / ncj, idx % ncj);
                 let mut cc = solver.inviscid.cell_residual(&prim, i, j, first_order);
                 let vc = solver.viscous_residual(&prim, &temp, i, j);
                 for k in 0..NEQ {
                     cc[k] += vc[k];
                 }
-                if let Some(k) = (0..NEQ).find(|&k| fb[k] != cc[k]) {
-                    return Some((i, j, k, fb[k], cc[k]));
-                }
+                cc
+            })
+            .collect()
+    }
+
+    /// First cell and equation where the residual operator (inviscid +
+    /// viscous faces) and the cell-by-cell reference residual differ, with
+    /// both values.
+    fn face_vs_cell_mismatch(
+        solver: &NsSolver,
+        first_order: bool,
+    ) -> Option<(usize, usize, usize, f64, f64)> {
+        let ncj = solver.inviscid.ncj();
+        let (mut esc, mut vsc) = (EulerScratch::default(), NsScratch::default());
+        solver.fill_residual(&mut esc, &mut vsc, first_order, 0.5);
+        let oracle = oracle_residuals(solver, first_order);
+        for (idx, (fb, cc)) in esc.res.iter().zip(&oracle).enumerate() {
+            if let Some(k) = (0..NEQ).find(|&k| fb[k] != cc[k]) {
+                return Some((idx / ncj, idx % ncj, k, fb[k], cc[k]));
             }
         }
         None
@@ -756,5 +721,85 @@ mod tests {
         let tau_mid = solver.wall_shear(8);
         assert!(tau_mid > tau_stag, "{tau_stag} vs {tau_mid}");
         assert!(tau_mid > 0.0);
+    }
+
+    /// `step()` built from the cell-by-cell oracles: `oracle_residuals`,
+    /// `viscous_dt` on cells decoded one by one, and its own update, floor
+    /// and norm arithmetic. The history test below pins the production
+    /// step to this.
+    fn reference_step(solver: &mut NsSolver, opts: &EulerOptions) -> f64 {
+        let (startup, cfl) = startup_schedule(solver.progress(), opts.startup_steps, opts.cfl);
+        let ncj = solver.inviscid.ncj();
+        let n = solver.inviscid.nci() * ncj;
+        let res = oracle_residuals(solver, startup);
+        let dts: Vec<f64> = (0..n)
+            .map(|idx| {
+                let (i, j) = (idx / ncj, idx % ncj);
+                let q = solver.inviscid.primitive(i, j);
+                solver.viscous_dt(&q, solver.temperature(i, j), i, j, cfl)
+            })
+            .collect();
+        let mut resnorm = 0.0;
+        for (idx, (res, dt)) in res.into_iter().zip(dts).enumerate() {
+            let (i, j) = (idx / ncj, idx % ncj);
+            let v = solver.inviscid.grid_metrics().volume[(i, j)];
+            let cell = solver.inviscid.u.vector_mut(i, j);
+            let scale = dt / v;
+            for k in 0..NEQ {
+                cell[k] += scale * res[k];
+            }
+            if cell[0] < RHO_FLOOR {
+                cell[0] = RHO_FLOOR;
+            }
+            let r = res[0] / v;
+            resnorm += r * r;
+        }
+        solver.inviscid.steps_taken += 1;
+        (resnorm / n as f64).sqrt()
+    }
+
+    #[test]
+    fn ns_residual_history_matches_cell_centered_reference() {
+        // First 50 residuals of a viscous hemisphere run: production step
+        // vs the oracle-built step, on identical twin solvers.
+        let gas = IdealGas::air();
+        let rn = 0.1;
+        let body = Hemisphere::new(rn);
+        let dist = stretch::tanh_one_sided(31, 3.5);
+        let grid = StructuredGrid::blunt_body(&body, 13, 31, &|sb| 0.035 + 0.03 * sb, &dist);
+        let t_inf = 220.0;
+        let p_inf = 500.0;
+        let rho_inf = p_inf / (287.05 * t_inf);
+        let fs = (rho_inf, 8.0 * (1.4_f64 * 287.05 * t_inf).sqrt(), 0.0, p_inf);
+        let bc = BcSet {
+            i_lo: Bc::SlipWall,
+            i_hi: Bc::Outflow,
+            j_lo: Bc::SlipWall,
+            j_hi: Bc::Inflow {
+                rho: fs.0,
+                ux: fs.1,
+                ur: fs.2,
+                p: fs.3,
+            },
+        };
+        // startup_steps = 30 so the compared window crosses the first-order
+        // → second-order switch.
+        let opts = EulerOptions {
+            cfl: 0.4,
+            startup_steps: 30,
+            ..EulerOptions::default()
+        };
+        let twin = || NsSolver::new(&grid, &gas, bc, opts.clone(), fs, Transport::air(), 300.0);
+        let (mut fast, mut reference) = (twin(), twin());
+        for n in 0..50 {
+            let rf = fast.step();
+            let rr = reference_step(&mut reference, &opts);
+            assert!(
+                rf == rr,
+                "residual diverged at step {n}: step {rf:.17e} vs reference {rr:.17e}"
+            );
+        }
+        let (a, b) = (fast.inviscid.u.as_slice(), reference.inviscid.u.as_slice());
+        assert!(a == b, "states diverged after 50 steps");
     }
 }

@@ -13,18 +13,19 @@
 //! * convection: the same AUSM+ / local-time-step machinery as
 //!   [`crate::euler2d`], with species mass fractions and vibronic energy
 //!   carried upwind,
-//! * source terms: operator-split per cell — the Park reaction set and the
-//!   Landau-Teller exchange integrated over each convective step by the
-//!   adaptive backward-Euler marcher from `aerothermo-numerics` (the same
+//! * source terms: operator-split per cell — after the shared explicit
+//!   update, the Park reaction set and the Landau-Teller exchange are
+//!   integrated over each cell's convective time step by the adaptive
+//!   Rosenbrock-W integrator (ROS34PW2) of `aerothermo-numerics`, the same
 //!   kernel that drives the 1-D relaxation solver, so the two agree by
-//!   construction).
+//!   construction.
 //!
 //! Temperature recovery is closed-form: translation/rotation carry
 //! `e − e_v − e_formation` with a composition-dependent but
 //! temperature-independent `c_v,tr`, so no per-cell Newton is needed on the
 //! convective side.
 
-use crate::euler2d::{convective_spectral_sum, AusmFace, Line, Primitive};
+use crate::euler2d::{convective_spectral_sum, explicit_update, AusmFace, Line, Primitive};
 use aerothermo_gas::kinetics::ReactionSet;
 use aerothermo_gas::relaxation::RelaxationModel;
 use aerothermo_gas::source::{two_temperature_source, SourceState};
@@ -35,6 +36,9 @@ use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverErro
 use aerothermo_numerics::{trace, Field3};
 use rayon::prelude::*;
 use std::cell::Cell as StdCell;
+
+/// Mixture-density floor of the primitive decode \[kg/m³\].
+const RHO_FLOOR: f64 = 1e-14;
 
 /// Boundary condition for one block side.
 #[derive(Debug, Clone)]
@@ -75,6 +79,16 @@ pub struct ReactingBcSet {
     pub j_hi: ReactingBc,
 }
 
+/// One block side as the face sweeps see it. The inflow ghost state never
+/// changes, so it is decoded once, when the solver is built.
+#[derive(Debug, Default)]
+enum Side {
+    Inflow(ReactingPrimitive),
+    #[default]
+    Outflow,
+    SlipWall,
+}
+
 /// Solver options.
 #[derive(Debug, Clone)]
 pub struct ReactingOptions {
@@ -84,8 +98,6 @@ pub struct ReactingOptions {
     pub startup_steps: usize,
     /// Disable chemistry entirely (frozen-flow mode, for testing).
     pub frozen: bool,
-    /// Density floor per species \[kg/m³\].
-    pub rho_floor: f64,
 }
 
 impl Default for ReactingOptions {
@@ -94,7 +106,6 @@ impl Default for ReactingOptions {
             cfl: 0.4,
             startup_steps: 300,
             frozen: false,
-            rho_floor: 1e-14,
         }
     }
 }
@@ -134,8 +145,6 @@ impl ReactingPrimitive {
             ux: self.ux,
             ur: self.ur,
             p: self.p,
-            t: self.t,
-            tv: self.tv,
             ev: self.ev,
             a: self.a,
             h0: self.h0,
@@ -152,8 +161,6 @@ struct ReactingPrimRef<'s> {
     ux: f64,
     ur: f64,
     p: f64,
-    t: f64,
-    tv: f64,
     ev: f64,
     a: f64,
     h0: f64,
@@ -168,23 +175,6 @@ impl ReactingPrimRef<'_> {
             ux: self.ux,
             ur: self.ur,
             p: self.p,
-            a: self.a,
-            h0: self.h0,
-        }
-    }
-
-    /// Materialize an owned primitive (boundary ghost construction only —
-    /// the interior sweeps never allocate).
-    fn to_owned(self) -> ReactingPrimitive {
-        ReactingPrimitive {
-            y: self.y.to_vec(),
-            rho: self.rho,
-            ux: self.ux,
-            ur: self.ur,
-            p: self.p,
-            t: self.t,
-            tv: self.tv,
-            ev: self.ev,
             a: self.a,
             h0: self.h0,
         }
@@ -204,8 +194,6 @@ struct ReactingPrimSoA {
     ux: Vec<f64>,
     ur: Vec<f64>,
     p: Vec<f64>,
-    t: Vec<f64>,
-    tv: Vec<f64>,
     ev: Vec<f64>,
     a: Vec<f64>,
     h0: Vec<f64>,
@@ -219,8 +207,6 @@ impl ReactingPrimSoA {
         self.ux.resize(n, 0.0);
         self.ur.resize(n, 0.0);
         self.p.resize(n, 0.0);
-        self.t.resize(n, 0.0);
-        self.tv.resize(n, 0.0);
         self.ev.resize(n, 0.0);
         self.a.resize(n, 0.0);
         self.h0.resize(n, 0.0);
@@ -233,8 +219,6 @@ impl ReactingPrimSoA {
             ux: self.ux[idx],
             ur: self.ur[idx],
             p: self.p[idx],
-            t: self.t[idx],
-            tv: self.tv[idx],
             ev: self.ev[idx],
             a: self.a[idx],
             h0: self.h0[idx],
@@ -247,8 +231,6 @@ impl ReactingPrimSoA {
         self.ux[idx] = q.ux;
         self.ur[idx] = q.ur;
         self.p[idx] = q.p;
-        self.t[idx] = q.t;
-        self.tv[idx] = q.tv;
         self.ev[idx] = q.ev;
         self.a[idx] = q.a;
         self.h0[idx] = q.h0;
@@ -270,9 +252,10 @@ struct ReactingScratch {
     fi: Vec<f64>,
     /// j-face fluxes, flat `(i * (ncj + 1) + jface) * neq`.
     fj: Vec<f64>,
-    /// Per-cell local time steps (consumed by the chemistry substep).
+    /// Per-cell local time steps (consumed by the explicit update and the
+    /// chemistry substep).
     dts: Vec<f64>,
-    /// Per-cell residual gather buffer (`neq` wide).
+    /// Per-cell net residuals, flat `(i * ncj + j) * neq`.
     res: Vec<f64>,
 }
 
@@ -284,6 +267,8 @@ pub struct ReactingSolver<'a> {
     reactions: &'a ReactionSet,
     relaxation: &'a RelaxationModel,
     bc: ReactingBcSet,
+    /// `bc` resolved for the face sweeps, in i-lo, i-hi, j-lo, j-hi order.
+    sides: [Side; 4],
     opts: ReactingOptions,
     ns: usize,
     neq: usize,
@@ -323,13 +308,14 @@ impl<'a> ReactingSolver<'a> {
             }
         }
         let metrics = Metrics::new(grid);
-        Self {
+        let mut solver = Self {
             grid,
             metrics,
             mix,
             reactions,
             relaxation,
             bc,
+            sides: Default::default(),
             opts,
             ns,
             neq,
@@ -338,7 +324,17 @@ impl<'a> ReactingSolver<'a> {
             cfl_scale: 1.0,
             telemetry: RunTelemetry::new(),
             scratch: ReactingScratch::default(),
-        }
+        };
+        let bc = &solver.bc;
+        solver.sides = [&bc.i_lo, &bc.i_hi, &bc.j_lo, &bc.j_hi].map(|bc| match bc {
+            ReactingBc::Inflow(fs) => {
+                let c = Self::conserved_from_freestream(mix, fs);
+                Side::Inflow(solver.primitive_of(&c, fs.t))
+            }
+            ReactingBc::Outflow => Side::Outflow,
+            ReactingBc::SlipWall => Side::SlipWall,
+        });
+        solver
     }
 
     fn conserved_from_freestream(mix: &Mixture, fs: &FreeStream) -> Vec<f64> {
@@ -399,7 +395,7 @@ impl<'a> ReactingSolver<'a> {
         for s in 0..ns {
             rho += c[s].max(0.0);
         }
-        let rho = rho.max(self.opts.rho_floor);
+        let rho = rho.max(RHO_FLOOR);
         out.y.resize(ns, 0.0);
         for s in 0..ns {
             out.y[s] = c[s].max(0.0) / rho;
@@ -479,29 +475,6 @@ impl<'a> ReactingSolver<'a> {
             })
     }
 
-    fn ghost(
-        &self,
-        bc: &ReactingBc,
-        interior: ReactingPrimRef<'_>,
-        nx: f64,
-        nr: f64,
-    ) -> ReactingPrimitive {
-        match bc {
-            ReactingBc::Inflow(fs) => {
-                let c = Self::conserved_from_freestream(self.mix, fs);
-                self.primitive_of(&c, fs.t)
-            }
-            ReactingBc::Outflow => interior.to_owned(),
-            ReactingBc::SlipWall => {
-                let un = interior.ux * nx + interior.ur * nr;
-                let mut g = interior.to_owned();
-                g.ux -= 2.0 * un * nx;
-                g.ur -= 2.0 * un * nr;
-                g
-            }
-        }
-    }
-
     /// AUSM+ flux·area of the reacting state vector into a caller-provided
     /// `neq`-wide slice (no per-face allocation): the shared AUSM+ core
     /// with the species, momentum, h0 and e_v rows carried upwind.
@@ -532,7 +505,7 @@ impl<'a> ReactingSolver<'a> {
     fn face_flux_into(
         &self,
         prim: &ReactingPrimSoA,
-        line: &Line<&ReactingBc>,
+        line: &Line<&Side>,
         f: usize,
         sx: f64,
         sr: f64,
@@ -540,14 +513,27 @@ impl<'a> ReactingSolver<'a> {
     ) {
         if f == 0 || f == line.n {
             let area = (sx * sx + sr * sr).sqrt().max(1e-300);
-            if f == 0 {
-                let qc = prim.view(line.base);
-                let g = self.ghost(line.lo, qc, -sx / area, -sr / area);
-                self.ausm_flux_into(g.as_view(), qc, sx, sr, out);
+            let (side, qc, nx, nr) = if f == 0 {
+                (line.lo, prim.view(line.base), -sx / area, -sr / area)
             } else {
-                let qc = prim.view(line.cell(f - 1));
-                let g = self.ghost(line.hi, qc, sx / area, sr / area);
-                self.ausm_flux_into(qc, g.as_view(), sx, sr, out);
+                (line.hi, prim.view(line.cell(f - 1)), sx / area, sr / area)
+            };
+            let g = match side {
+                Side::Inflow(q) => q.as_view(),
+                Side::Outflow => qc,
+                Side::SlipWall => {
+                    let un = qc.ux * nx + qc.ur * nr;
+                    ReactingPrimRef {
+                        ux: qc.ux - 2.0 * un * nx,
+                        ur: qc.ur - 2.0 * un * nr,
+                        ..qc
+                    }
+                }
+            };
+            if f == 0 {
+                self.ausm_flux_into(g, qc, sx, sr, out);
+            } else {
+                self.ausm_flux_into(qc, g, sx, sr, out);
             }
         } else {
             let (ql, qr) = (prim.view(line.cell(f - 1)), prim.view(line.cell(f)));
@@ -565,8 +551,6 @@ impl<'a> ReactingSolver<'a> {
         scratch.prim.resize(nci * ncj, self.ns);
         scratch.fi.resize((nci + 1) * ncj * neq, 0.0);
         scratch.fj.resize(nci * (ncj + 1) * neq, 0.0);
-        scratch.dts.resize(nci * ncj, 0.0);
-        scratch.res.resize(neq, 0.0);
 
         for i in 0..nci {
             for j in 0..ncj {
@@ -576,14 +560,14 @@ impl<'a> ReactingSolver<'a> {
         }
 
         let prim: &ReactingPrimSoA = &scratch.prim;
-        let (m, bc) = (&self.metrics, &self.bc);
+        let (m, [i_lo, i_hi, j_lo, j_hi]) = (&self.metrics, &self.sides);
         scratch
             .fi
             .par_chunks_mut(ncj * neq)
             .enumerate()
             .for_each(|(iface, col)| {
                 for (j, f) in col.chunks_exact_mut(neq).enumerate() {
-                    let line = Line::along_i(j, nci, ncj, &bc.i_lo, &bc.i_hi);
+                    let line = Line::along_i(j, nci, ncj, i_lo, i_hi);
                     let (sx, sr) = (m.si_x[(iface, j)], m.si_r[(iface, j)]);
                     self.face_flux_into(prim, &line, iface, sx, sr, f);
                 }
@@ -593,7 +577,7 @@ impl<'a> ReactingSolver<'a> {
             .par_chunks_mut((ncj + 1) * neq)
             .enumerate()
             .for_each(|(i, row)| {
-                let line = Line::along_j(i, ncj, &bc.j_lo, &bc.j_hi);
+                let line = Line::along_j(i, ncj, j_lo, j_hi);
                 for (jface, f) in row.chunks_exact_mut(neq).enumerate() {
                     let (sx, sr) = (m.sj_x[(i, jface)], m.sj_r[(i, jface)]);
                     self.face_flux_into(prim, &line, jface, sx, sr, f);
@@ -638,8 +622,9 @@ impl<'a> ReactingSolver<'a> {
     fn cell_residual(&self, prim: &ReactingPrimSoA, i: usize, j: usize) -> Vec<f64> {
         let (nci, ncj, neq) = (self.grid.nci(), self.grid.ncj(), self.neq);
         let m = &self.metrics;
-        let il = Line::along_i(j, nci, ncj, &self.bc.i_lo, &self.bc.i_hi);
-        let jl = Line::along_j(i, ncj, &self.bc.j_lo, &self.bc.j_hi);
+        let [i_lo, i_hi, j_lo, j_hi] = &self.sides;
+        let il = Line::along_i(j, nci, ncj, i_lo, i_hi);
+        let jl = Line::along_j(i, ncj, j_lo, j_hi);
         let faces = [
             (&il, i, m.si_x[(i, j)], m.si_r[(i, j)]),
             (&il, i + 1, m.si_x[(i + 1, j)], m.si_r[(i + 1, j)]),
@@ -743,6 +728,24 @@ impl<'a> ReactingSolver<'a> {
         }
     }
 
+    /// The residual operator: assemble the faces of the current state,
+    /// gather every cell's net residual into `scratch.res` and its local
+    /// time step at `cfl` into `scratch.dts`. Reads `u`, never writes it.
+    fn fill_residual(&self, scratch: &mut ReactingScratch, cfl: f64) {
+        self.assemble_faces(scratch);
+        let (ncj, neq) = (self.grid.ncj(), self.neq);
+        let n = self.grid.nci() * ncj;
+        let mut res = std::mem::take(&mut scratch.res);
+        res.resize(n * neq, 0.0);
+        scratch.dts.resize(n, 0.0);
+        for (idx, r) in res.chunks_exact_mut(neq).enumerate() {
+            let (i, j) = (idx / ncj, idx % ncj);
+            self.gather_residual_into(scratch, i, j, r);
+            scratch.dts[idx] = self.local_dt(scratch.prim.view(idx), i, j, cfl);
+        }
+        scratch.res = res;
+    }
+
     /// One explicit convective step with operator-split chemistry; returns
     /// the density residual norm.
     pub fn step(&mut self) -> f64 {
@@ -757,42 +760,12 @@ impl<'a> ReactingSolver<'a> {
         );
         let nci = self.grid.nci();
         let ncj = self.grid.ncj();
-        let neq = self.neq;
-        let ns = self.ns;
 
-        // Face-based assembly into solver-owned scratch: primitives decoded
-        // once per cell, each face swept once, flat flux buffers reused.
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.assemble_faces(&mut scratch);
-        let mut res = std::mem::take(&mut scratch.res);
-
-        // Convective update.
-        let mut resnorm = 0.0;
-        for i in 0..nci {
-            for j in 0..ncj {
-                let idx = i * ncj + j;
-                self.gather_residual_into(&scratch, i, j, &mut res);
-                let dt = self.local_dt(scratch.prim.view(idx), i, j, cfl);
-                scratch.dts[idx] = dt;
-                let v = self.metrics.volume[(i, j)];
-                let cell = self.u.vector_mut(i, j);
-                for k in 0..neq {
-                    cell[k] += dt / v * res[k];
-                }
-                for s in 0..ns {
-                    if cell[s] < 0.0 {
-                        cell[s] = 0.0;
-                    }
-                }
-                let mut drho = 0.0;
-                for s in 0..ns {
-                    drho += res[s];
-                }
-                let r = drho / v;
-                resnorm += r * r;
-            }
-        }
-        scratch.res = res;
+        self.fill_residual(&mut scratch, cfl);
+        let (res, dts) = (&scratch.res, &scratch.dts);
+        // Species densities are floored at zero; the norm sums their rows.
+        let resnorm = explicit_update(&mut self.u, &self.metrics.volume, res, dts, self.ns, 0.0);
 
         // Chemistry substep (skipped while the startup transient rings or in
         // frozen mode), cell-parallel.
@@ -819,7 +792,7 @@ impl<'a> ReactingSolver<'a> {
 
         self.scratch = scratch;
         self.steps += 1;
-        (resnorm / (nci * ncj) as f64).sqrt()
+        resnorm
     }
 
     /// First cell whose conserved state is non-finite, as a typed error.
@@ -1147,23 +1120,109 @@ mod tests {
                 }
             }
             let mut scratch = ReactingScratch::default();
-            solver.assemble_faces(&mut scratch);
-            // The oracle decodes every cell on its own, so the comparison
-            // also checks the primitive cache the gather reads.
+            solver.fill_residual(&mut scratch, 0.4);
+            let prim = decoded_prims(&solver);
             let ncj = grid.ncj();
-            let mut prim = ReactingPrimSoA::default();
-            prim.resize(grid.nci() * ncj, ns);
-            for idx in 0..grid.nci() * ncj {
-                prim.set(idx, &solver.primitive(idx / ncj, idx % ncj));
-            }
-            let mut fb = vec![0.0; neq];
-            for i in 0..grid.nci() {
-                for j in 0..ncj {
-                    solver.gather_residual_into(&scratch, i, j, &mut fb);
-                    let cc = solver.cell_residual(&prim, i, j);
-                    assert!(fb == cc, "({i}, {j}) {geometry:?}: {fb:?} vs {cc:?}");
-                }
+            for (idx, fb) in scratch.res.chunks_exact(neq).enumerate() {
+                let (i, j) = (idx / ncj, idx % ncj);
+                let cc = solver.cell_residual(&prim, i, j);
+                assert!(fb == cc, "({i}, {j}) {geometry:?}: {fb:?} vs {cc:?}");
             }
         }
+    }
+
+    /// Every cell's primitives in the cache layout, decoded one by one
+    /// through [`ReactingSolver::primitive`], never the step's cache.
+    fn decoded_prims(solver: &ReactingSolver) -> ReactingPrimSoA {
+        let ncj = solver.ncj();
+        let mut prim = ReactingPrimSoA::default();
+        prim.resize(solver.nci() * ncj, solver.ns);
+        for idx in 0..solver.nci() * ncj {
+            prim.set(idx, &solver.primitive(idx / ncj, idx % ncj));
+        }
+        prim
+    }
+
+    /// Frozen `step()` built from the cell-by-cell oracle: `cell_residual`
+    /// and `local_dt` on cells decoded one by one, and its own update,
+    /// species floor and norm arithmetic.
+    fn reference_step(solver: &mut ReactingSolver) -> f64 {
+        let (_, cfl) = crate::runctl::startup_schedule(
+            solver.steps,
+            solver.opts.startup_steps,
+            solver.opts.cfl,
+        );
+        let (ncj, ns) = (solver.ncj(), solver.ns);
+        let n = solver.nci() * ncj;
+        let prim = decoded_prims(solver);
+        let updates: Vec<(Vec<f64>, f64)> = (0..n)
+            .map(|idx| {
+                let (i, j) = (idx / ncj, idx % ncj);
+                let dt = solver.local_dt(prim.view(idx), i, j, cfl);
+                (solver.cell_residual(&prim, i, j), dt)
+            })
+            .collect();
+        let mut resnorm = 0.0;
+        for (idx, (res, dt)) in updates.into_iter().enumerate() {
+            let (i, j) = (idx / ncj, idx % ncj);
+            let v = solver.metrics.volume[(i, j)];
+            let cell = solver.u.vector_mut(i, j);
+            let scale = dt / v;
+            for (c, r) in cell.iter_mut().zip(&res) {
+                *c += scale * r;
+            }
+            let mut drho = 0.0;
+            for s in 0..ns {
+                if cell[s] < 0.0 {
+                    cell[s] = 0.0;
+                }
+                drho += res[s];
+            }
+            let r = drho / v;
+            resnorm += r * r;
+        }
+        solver.steps += 1;
+        (resnorm / n as f64).sqrt()
+    }
+
+    #[test]
+    fn reacting_residual_history_matches_cell_centered_reference() {
+        // First 50 residuals of a frozen 5.5 km/s hemisphere run: production
+        // step vs the oracle-built step, on identical twin solvers.
+        let gas = air9_equilibrium();
+        let set = park_air9(gas.mixture());
+        let relax = RelaxationModel::new(gas.mixture().clone());
+        let rn = 0.05;
+        let body = Hemisphere::new(rn);
+        let dist = stretch::uniform(25);
+        let grid = StructuredGrid::blunt_body(&body, 11, 25, &|sb| (0.3 + 0.2 * sb) * rn, &dist);
+        let fs = air_freestream(5e-4, 5500.0, 250.0, gas.mixture().len());
+        let bc = ReactingBcSet {
+            i_lo: ReactingBc::SlipWall,
+            i_hi: ReactingBc::Outflow,
+            j_lo: ReactingBc::SlipWall,
+            j_hi: ReactingBc::Inflow(fs.clone()),
+        };
+        // startup_steps = 30 so the compared window crosses the start-up
+        // CFL switch.
+        let opts = ReactingOptions {
+            frozen: true,
+            startup_steps: 30,
+            ..ReactingOptions::default()
+        };
+        let twin = || ReactingSolver::new(&grid, &set, &relax, bc.clone(), opts.clone(), &fs);
+        let (mut fast, mut reference) = (twin(), twin());
+        for n in 0..50 {
+            let rf = fast.step();
+            let rr = reference_step(&mut reference);
+            assert!(
+                rf == rr,
+                "residual diverged at step {n}: step {rf:.17e} vs reference {rr:.17e}"
+            );
+        }
+        assert!(
+            fast.u.as_slice() == reference.u.as_slice(),
+            "states diverged after 50 steps"
+        );
     }
 }

@@ -53,11 +53,12 @@ pub const BACKOFF: f64 = 0.5;
 /// Floor of the backed-off CFL scale.
 pub const MIN_CFL_SCALE: f64 = 1.0 / 64.0;
 
-/// Startup scheduling shared by every explicit step loop — the face-based
-/// production paths *and* the retained cell-centered reference paths, so
-/// parity tests exercise identical scheduling. The first `startup_steps`
-/// steps run first-order at [`STARTUP_CFL_FACTOR`] × the nominal CFL
-/// (impulsive-start robustness).
+/// The start-up schedule of the explicit field solvers: the first
+/// `startup_steps` steps run first-order at [`STARTUP_CFL_FACTOR`] × the
+/// nominal CFL (impulsive-start robustness). The euler2d step (which ns2d
+/// reuses) and the reacting step read it before their residual fill, and
+/// so do the oracle-built reference steps their step-history tests compare
+/// against.
 ///
 /// Returns `(first_order, effective_cfl)`.
 #[must_use]
@@ -527,7 +528,9 @@ fn run_inner<S: Steppable + ?Sized>(
     fl: &mut FlightCtl<'_>,
 ) -> Result<RunOutcome, SolverError> {
     let t0 = std::time::Instant::now();
-    let mut reference = f64::NAN;
+    // A solver that already ran past its start-up units keeps the reference
+    // it measured there; a fresh one reports NaN until that unit.
+    let mut reference = solver.telemetry_mut().reference_residual();
 
     if let Some(path) = &opts.restart_from {
         let (meta, snap, saved_reference) = read_restart(path)?;
@@ -704,6 +707,7 @@ fn run_inner<S: Steppable + ?Sized>(
     let units = solver.progress();
     residual_history.extend(monitor.into_history());
     let telemetry = solver.telemetry_mut();
+    telemetry.set_reference_residual(reference);
     telemetry.add_phase_secs("runctl", t0.elapsed().as_secs_f64());
     telemetry.record_history("runctl_residual", residual_history);
     telemetry.record_history("runctl_cfl_scale", cfl_history);
@@ -1168,6 +1172,32 @@ mod tests {
         assert_eq!(resumed.converged, whole.converged);
         assert_eq!(resumed.units, whole.units);
         assert_eq!(resumed.ratio.to_bits(), whole.ratio.to_bits());
+    }
+
+    #[test]
+    fn second_call_converges_like_one_uninterrupted_call() {
+        // Start-up 5: the reference is the residual of the unit starting at
+        // 5, which only the first of two in-memory calls sees.
+        let run = |max_units: usize, toy: &mut ToyRelax| {
+            let opts = RunOptions {
+                max_units,
+                tol: 1e-9,
+                max_retries: 0,
+                ..RunOptions::default()
+            };
+            run_controlled(toy, &opts).expect("clean run")
+        };
+        let mut whole = ToyRelax::new(None);
+        whole.startup = 5;
+        let whole = run(60, &mut whole);
+        let mut split = ToyRelax::new(None);
+        split.startup = 5;
+        assert_eq!(run(10, &mut split).units, 10);
+        let second = run(60, &mut split);
+        assert!(whole.converged);
+        assert_eq!(second.converged, whole.converged);
+        assert_eq!(second.units, whole.units);
+        assert_eq!(second.ratio.to_bits(), whole.ratio.to_bits());
     }
 
     #[test]
