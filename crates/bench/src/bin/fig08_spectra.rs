@@ -19,7 +19,7 @@ use aerothermo_gas::equilibrium::air9_equilibrium;
 use aerothermo_gas::kinetics::park_air9;
 use aerothermo_gas::relaxation::RelaxationModel;
 use aerothermo_gas::species as spdb;
-use aerothermo_radiation::spectra::{saha_ion_density, spectrum};
+use aerothermo_radiation::spectra::{saha_ion_density, SpectralGrid};
 use aerothermo_radiation::tangent_slab::{solve_slab, Layer};
 use aerothermo_radiation::{wavelength_grid, GasSample};
 use aerothermo_solvers::shock1d::{solve, RelaxationProblem};
@@ -83,19 +83,18 @@ fn main() {
     println!("slab layers: {}", layers.len());
 
     let lam = wavelength_grid(0.2e-6, 1.0e-6, 1600);
-    let spectra: Vec<_> = layers
-        .iter()
-        .map(|l| spectrum(&l.sample, &lam, 1.5e-9))
-        .collect();
+    let grid = SpectralGrid::new(&lam, 1.5e-9);
+    let spectra: Vec<_> = layers.iter().map(|l| grid.spectrum(&l.sample)).collect();
     let computed = solve_slab(&layers, &spectra);
 
     // Synthetic "experiment": perturb each layer's emitters via a band-dependent
     // factor, broaden to instrument resolution, add multiplicative noise.
     let measured_raw = {
+        let grid = SpectralGrid::new(&lam, 2.5e-9);
         let spectra_m: Vec<_> = layers
             .iter()
             .map(|l| {
-                let mut s = spectrum(&l.sample, &lam, 2.5e-9);
+                let mut s = grid.spectrum(&l.sample);
                 for (i, &w) in lam.iter().enumerate() {
                     // Slowly varying ±20% "calibration" perturbation.
                     let f = 1.0 + 0.2 * (w * 2.2e7).sin();

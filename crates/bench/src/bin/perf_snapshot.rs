@@ -4,8 +4,9 @@
 //! in — tridiagonal and block-tridiagonal sweeps, damped-Newton solves,
 //! stiff chemistry integration, the Fig. 7 relaxation march
 //! (`relaxation_march`), direct equilibrium-composition solves, the Titan
-//! shock layer's equilibrium inversions (`equilibrium_inversion`),
-//! spectrum integration, Euler blunt-body steps, the viscous-cone PNS
+//! shock layer's equilibrium inversions (`equilibrium_inversion`), the
+//! spectral grid build (`spectral_grid`) and the spectra on it
+//! (`spectrum_integration`), Euler blunt-body steps, the viscous-cone PNS
 //! march (`pns_march`), the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
 //! partitioning, shard-store federation) — and writes every span label's
@@ -54,7 +55,7 @@ use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
 use aerothermo_numerics::telemetry::CounterSnapshot;
 use aerothermo_numerics::trace;
 use aerothermo_numerics::tridiag::{solve_block_tridiag, solve_tridiag};
-use aerothermo_radiation::spectra::spectrum;
+use aerothermo_radiation::spectra::SpectralGrid;
 use aerothermo_radiation::GasSample;
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
@@ -314,7 +315,9 @@ fn run_suite() {
         }
     }
 
-    // Spectrum integration on a 4000-point wavelength grid.
+    // Spectrum integration on a 4000-point wavelength grid: the grid's
+    // emitter shapes once (`spectral_grid`), then three samples on it
+    // (`spectrum_integration`).
     {
         let sample = GasSample::equilibrium(
             9000.0,
@@ -330,8 +333,9 @@ fn run_suite() {
         let lambda: Vec<f64> = (0..4000)
             .map(|k| 200e-9 + 800e-9 * f64::from(k) / 4000.0)
             .collect();
+        let grid = SpectralGrid::new(&lambda, 0.5e-9);
         for _ in 0..3 {
-            let sp = spectrum(&sample, &lambda, 0.5e-9);
+            let sp = grid.spectrum(&sample);
             assert!(sp.total_emission() > 0.0);
         }
     }

@@ -75,4 +75,20 @@ fn fig02_report_is_green_and_equilibrium_work_is_bounded() {
         counter(&report, "equilibrium_floor_failures"),
         "an equilibrium state above the inversion floor failed"
     );
+
+    // Every spectrum fig02 computes is one a solution reads: the radiating
+    // anchor's property table (96 temperatures × 240 wavelengths) and its
+    // tangent slab (39 layers × 400 wavelengths). The non-radiating VSL
+    // cases compute none.
+    let anchor_points = report
+        .get("metrics")
+        .and_then(|m| m.get("vsl_anchor.spectrum_points"))
+        .and_then(Value::as_f64)
+        .expect("report has the anchor's spectrum_points");
+    assert_eq!(anchor_points, f64::from(96 * 240 + 39 * 400));
+    assert_eq!(
+        counter(&report, "spectrum_points"),
+        anchor_points,
+        "fig02 computed spectra outside its radiating anchor"
+    );
 }

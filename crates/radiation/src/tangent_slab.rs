@@ -10,7 +10,7 @@
 //!   the slab records), `I_λ = Σ_k S_k (1 − e^{−Δτ_k}) e^{−τ_k,front}`.
 
 use crate::planck::e3;
-use crate::spectra::{spectrum, Spectrum};
+use crate::spectra::{SpectralGrid, Spectrum};
 use crate::GasSample;
 use aerothermo_numerics::quadrature::trapz;
 
@@ -111,13 +111,12 @@ pub fn solve_slab(layers: &[Layer], spectra: &[Spectrum]) -> SlabRadiation {
     }
 }
 
-/// Convenience: compute per-layer spectra and solve the slab in one call.
+/// Convenience: compute per-layer spectra on one [`SpectralGrid`] and
+/// solve the slab in one call.
 #[must_use]
 pub fn solve_slab_samples(layers: &[Layer], lambda: &[f64], width_floor: f64) -> SlabRadiation {
-    let spectra: Vec<Spectrum> = layers
-        .iter()
-        .map(|l| spectrum(&l.sample, lambda, width_floor))
-        .collect();
+    let grid = SpectralGrid::new(lambda, width_floor);
+    let spectra: Vec<Spectrum> = layers.iter().map(|l| grid.spectrum(&l.sample)).collect();
     solve_slab(layers, &spectra)
 }
 

@@ -164,6 +164,9 @@ struct Prim4 {
 pub(crate) struct EulerScratch {
     /// Cell primitives in structure-of-arrays layout (see [`PrimSoA`]).
     pub(crate) prim: PrimSoA,
+    /// Cell specific internal energies \[J/kg\] from the same decode,
+    /// row-major `i * ncj + j` (ns2d's viscous temperatures read them).
+    pub(crate) e: Vec<f64>,
     /// i-face fluxes, laid out `iface * ncj + j` (each i-face column is a
     /// contiguous, independently writable chunk).
     pub(crate) fi: Vec<[f64; NEQ]>,
@@ -595,7 +598,7 @@ impl<'a> EulerSolver<'a> {
     /// Primitive state of cell `(i, j)`.
     #[must_use]
     pub fn primitive(&self, i: usize, j: usize) -> Primitive {
-        self.primitive_of(self.u.vector(i, j))
+        self.decode(self.u.vector(i, j)).0
     }
 
     /// Specific internal energy of cell `(i, j)` \[J/kg\].
@@ -609,7 +612,9 @@ impl<'a> EulerSolver<'a> {
         (e_tot - 0.5 * (ux * ux + ur * ur)).max(1e-6 * e_tot.abs().max(1e-300))
     }
 
-    fn primitive_of(&self, c: &[f64]) -> Primitive {
+    /// Primitives and specific internal energy \[J/kg\] of one conserved
+    /// vector.
+    fn decode(&self, c: &[f64]) -> (Primitive, f64) {
         let rho = c[0].max(RHO_FLOOR);
         let ux = c[1] / rho;
         let ur = c[2] / rho;
@@ -620,14 +625,15 @@ impl<'a> EulerSolver<'a> {
         let (p_raw, a_raw) = self.gas.pressure_sound_speed(rho, e);
         let p = p_raw.max(P_FLOOR);
         let a = a_raw.max(1.0);
-        Primitive {
+        let q = Primitive {
             rho,
             ux,
             ur,
             p,
             a,
             h0: e + p / rho + 0.5 * (ux * ux + ur * ur),
-        }
+        };
+        (q, e)
     }
 
     /// Reconstruction limiter: first order during start-up and the
@@ -881,14 +887,15 @@ impl<'a> EulerSolver<'a> {
         let nci = self.nci();
         let ncj = self.ncj();
         scratch.prim.resize(nci * ncj);
+        scratch.e.resize(nci * ncj, 0.0);
         scratch.fi.resize((nci + 1) * ncj, [0.0; NEQ]);
         scratch.fj.resize(nci * (ncj + 1), [0.0; NEQ]);
 
         for i in 0..nci {
             for j in 0..ncj {
-                scratch
-                    .prim
-                    .set(i * ncj + j, self.primitive_of(self.u.vector(i, j)));
+                let (q, e) = self.decode(self.u.vector(i, j));
+                scratch.prim.set(i * ncj + j, q);
+                scratch.e[i * ncj + j] = e;
             }
         }
 

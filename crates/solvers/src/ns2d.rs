@@ -65,7 +65,7 @@ impl Transport {
         (self.viscosity)(t) * self.cp / self.prandtl
     }
 
-    /// Thin-layer viscous flux·area through j-face `(i, jface)`, oriented
+    /// Thin-layer viscous flux·area through the j-face `face`, oriented
     /// along the +j normal, between the `lower` and `upper` cells (state
     /// and temperature). `lower = Err(t_wall)` makes the lower side the
     /// no-slip isothermal wall at `t_wall`, differenced one-sidedly from the
@@ -73,17 +73,11 @@ impl Transport {
     #[inline(always)]
     pub(crate) fn thin_layer_flux(
         &self,
-        grid: &StructuredGrid,
-        m: &Metrics,
-        i: usize,
-        jface: usize,
+        face: &JFace,
         lower: Result<(Primitive, f64), f64>,
         upper: (Primitive, f64),
     ) -> [f64; NEQ] {
-        let (nx, nr, dn) = j_face_normal_distance(grid, m, i, jface);
-        let sx = m.sj_x[(i, jface)];
-        let sr = m.sj_r[(i, jface)];
-        let area = (sx * sx + sr * sr).sqrt().max(1e-300);
+        let JFace { nx, nr, dn, area } = *face;
         let (qr, tr) = upper;
         // No-slip: the stress does no work on the stationary wall.
         let ((ql, tl), (u_face_x, u_face_r)) = match lower {
@@ -102,7 +96,8 @@ impl Transport {
         };
         let t_face = 0.5 * (tl + tr);
         let mu = (self.viscosity)(t_face);
-        let k = self.conductivity(t_face);
+        // `conductivity(t_face)` without a second viscosity call.
+        let k = mu * self.cp / self.prandtl;
         let dudn = (qr.ux - ql.ux) / dn;
         let dvdn = (qr.ur - ql.ur) / dn;
         let dtdn = (tr - tl) / dn;
@@ -120,34 +115,40 @@ impl Transport {
     }
 }
 
-/// Unit normal `(nx, nr)` of j-face `(i, jface)` and the normal distance
-/// the thin-layer gradients difference across (floored at 1e-12): from
-/// the wall-face midpoint to the wall cell's centroid at `jface == 0`,
-/// between the two adjacent cell centroids otherwise.
-#[inline(always)]
-pub(crate) fn j_face_normal_distance(
-    grid: &StructuredGrid,
-    m: &Metrics,
-    i: usize,
-    jface: usize,
-) -> (f64, f64, f64) {
-    let sx = m.sj_x[(i, jface)];
-    let sr = m.sj_r[(i, jface)];
-    let area = (sx * sx + sr * sr).sqrt().max(1e-300);
-    let nx = sx / area;
-    let nr = sr / area;
-    let (x0, r0) = if jface == 0 {
-        (
-            0.5 * (grid.x[(i, 0)] + grid.x[(i + 1, 0)]),
-            0.5 * (grid.r[(i, 0)] + grid.r[(i + 1, 0)]),
-        )
-    } else {
-        (m.xc[(i, jface - 1)], m.rc[(i, jface - 1)])
-    };
-    let dn = ((m.xc[(i, jface)] - x0) * nx + (m.rc[(i, jface)] - r0) * nr)
-        .abs()
-        .max(1e-12);
-    (nx, nr, dn)
+/// Thin-layer geometry of one j-face: its unit normal `(nx, nr)`, the
+/// normal distance `dn` its gradients difference across, and its area.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JFace {
+    pub(crate) nx: f64,
+    pub(crate) nr: f64,
+    pub(crate) dn: f64,
+    pub(crate) area: f64,
+}
+
+impl JFace {
+    /// Geometry of j-face `(i, jface)` below the outer boundary. `dn`
+    /// (floored at 1e-12) runs from the wall-face midpoint to the wall
+    /// cell's centroid at `jface == 0`, between the two adjacent cell
+    /// centroids otherwise.
+    pub(crate) fn new(grid: &StructuredGrid, m: &Metrics, i: usize, jface: usize) -> Self {
+        let sx = m.sj_x[(i, jface)];
+        let sr = m.sj_r[(i, jface)];
+        let area = (sx * sx + sr * sr).sqrt().max(1e-300);
+        let nx = sx / area;
+        let nr = sr / area;
+        let (x0, r0) = if jface == 0 {
+            (
+                0.5 * (grid.x[(i, 0)] + grid.x[(i + 1, 0)]),
+                0.5 * (grid.r[(i, 0)] + grid.r[(i + 1, 0)]),
+            )
+        } else {
+            (m.xc[(i, jface - 1)], m.rc[(i, jface - 1)])
+        };
+        let dn = ((m.xc[(i, jface)] - x0) * nx + (m.rc[(i, jface)] - r0) * nr)
+            .abs()
+            .max(1e-12);
+        Self { nx, nr, dn, area }
+    }
 }
 
 /// Thin-layer NS solver: an Euler core plus wall-normal viscous fluxes.
@@ -157,6 +158,9 @@ pub struct NsSolver<'a> {
     transport: Transport,
     /// Isothermal wall temperature \[K\].
     pub t_wall: f64,
+    /// Geometry of every viscous j-face, `i * ncj + jface` (the outer
+    /// boundary face carries no viscous flux and has no entry).
+    jfaces: Vec<JFace>,
     vscratch: NsScratch,
 }
 
@@ -175,10 +179,16 @@ impl<'a> NsSolver<'a> {
         transport: Transport,
         t_wall: f64,
     ) -> Self {
+        let inviscid = EulerSolver::new(grid, gas, bc, opts, freestream);
+        let (nci, ncj) = (inviscid.nci(), inviscid.ncj());
+        let jfaces = (0..nci * ncj)
+            .map(|idx| JFace::new(grid, inviscid.grid_metrics(), idx / ncj, idx % ncj))
+            .collect();
         Self {
-            inviscid: EulerSolver::new(grid, gas, bc, opts, freestream),
+            inviscid,
             transport,
             t_wall,
+            jfaces,
             vscratch: NsScratch::default(),
         }
     }
@@ -193,12 +203,20 @@ impl<'a> NsSolver<'a> {
 
     /// Viscous residual contribution of cell `(i, j)` evaluated cell by
     /// cell (thin layer: −bottom face, +top face, each through
-    /// [`Self::viscous_face_flux`]): the reference the face-based viscous
-    /// gather is tested against.
+    /// [`Self::viscous_face_flux`] on geometry computed here, none on the
+    /// outer boundary face): the reference the face-based viscous gather is
+    /// tested against.
     #[cfg(test)]
     fn viscous_residual(&self, prim: &PrimSoA, temp: &[f64], i: usize, j: usize) -> [f64; NEQ] {
-        let fb = self.viscous_face_flux(prim, temp, i, j);
-        let ft = self.viscous_face_flux(prim, temp, i, j + 1);
+        let (grid, m) = (self.inviscid.grid(), self.inviscid.grid_metrics());
+        let flux = |jface: usize| {
+            if jface == self.inviscid.ncj() {
+                return [0.0; NEQ];
+            }
+            let face = JFace::new(grid, m, i, jface);
+            self.viscous_face_flux(prim, temp, i, jface, &face)
+        };
+        let (fb, ft) = (flux(j), flux(j + 1));
         let mut res = [0.0; NEQ];
         for k in 0..NEQ {
             res[k] -= fb[k];
@@ -207,26 +225,21 @@ impl<'a> NsSolver<'a> {
         res
     }
 
-    /// Viscous flux through j-face `(i, jface)` from cached primitives and
-    /// temperatures. The outer boundary face carries no viscous flux
-    /// (freestream); the wall face is the no-slip isothermal wall.
+    /// Viscous flux through j-face `(i, jface)` below the outer boundary,
+    /// of geometry `face`, from cached primitives and temperatures; the
+    /// wall face is the no-slip isothermal wall.
     fn viscous_face_flux(
         &self,
         prim: &PrimSoA,
         temp: &[f64],
         i: usize,
         jface: usize,
+        face: &JFace,
     ) -> [f64; NEQ] {
         let ncj = self.inviscid.ncj();
-        if jface == ncj {
-            return [0.0; NEQ];
-        }
         let cell = |j: usize| (prim.get(i * ncj + j), temp[i * ncj + j]);
         self.transport.thin_layer_flux(
-            self.inviscid.grid(),
-            self.inviscid.grid_metrics(),
-            i,
-            jface,
+            face,
             if jface > 0 {
                 Ok(cell(jface - 1))
             } else {
@@ -236,9 +249,11 @@ impl<'a> NsSolver<'a> {
         )
     }
 
-    /// Fill the viscous scratch: cache every cell temperature once, then
-    /// sweep each viscous j-face exactly once (row-parallel, race-free).
-    fn assemble_viscous(&self, prim: &PrimSoA, scratch: &mut NsScratch) {
+    /// Fill the viscous scratch: every cell temperature once, from the
+    /// face assembly's primitives `prim` and internal energies `e`, then
+    /// each viscous j-face exactly once (row-parallel, race-free); the
+    /// outer boundary face carries no viscous flux (freestream).
+    fn assemble_viscous(&self, prim: &PrimSoA, e: &[f64], scratch: &mut NsScratch) {
         let nci = self.inviscid.nci();
         let ncj = self.inviscid.ncj();
         scratch.temp.resize(nci * ncj, 0.0);
@@ -250,10 +265,8 @@ impl<'a> NsSolver<'a> {
             .enumerate()
             .for_each(|(i, row)| {
                 for (j, t) in row.iter_mut().enumerate() {
-                    *t = self
-                        .inviscid
-                        .gas()
-                        .temperature(prim.rho[i * ncj + j], self.inviscid.internal_energy(i, j));
+                    let idx = i * ncj + j;
+                    *t = self.inviscid.gas().temperature(prim.rho[idx], e[idx]);
                 }
             });
 
@@ -263,9 +276,12 @@ impl<'a> NsSolver<'a> {
             .par_chunks_mut(ncj + 1)
             .enumerate()
             .for_each(|(i, row)| {
-                for (jface, f) in row.iter_mut().enumerate() {
-                    *f = self.viscous_face_flux(prim, temp, i, jface);
+                let (faces, outer) = row.split_at_mut(ncj);
+                let geometry = &self.jfaces[i * ncj..(i + 1) * ncj];
+                for ((jface, f), face) in faces.iter_mut().enumerate().zip(geometry) {
+                    *f = self.viscous_face_flux(prim, temp, i, jface, face);
                 }
+                outer[0] = [0.0; NEQ];
             });
         counters::add(Counter::FacesEvaluated, (nci * ncj) as u64);
     }
@@ -281,7 +297,7 @@ impl<'a> NsSolver<'a> {
         cfl: f64,
     ) {
         self.inviscid.fill_residual(esc, first_order);
-        self.assemble_viscous(&esc.prim, vsc);
+        self.assemble_viscous(&esc.prim, &esc.e, vsc);
         let ncj = self.inviscid.ncj();
         for (idx, (res, dt)) in esc.res.iter_mut().zip(&mut esc.dt).enumerate() {
             let (i, j) = (idx / ncj, idx % ncj);
@@ -330,8 +346,7 @@ impl<'a> NsSolver<'a> {
     /// wall), from the one-sided wall-normal temperature gradient.
     #[must_use]
     pub fn wall_heat_flux(&self, i: usize) -> f64 {
-        let m = self.inviscid.grid_metrics();
-        let (_, _, dn) = j_face_normal_distance(self.inviscid.grid(), m, i, 0);
+        let dn = self.jfaces[i * self.inviscid.ncj()].dn;
         let t1 = self.temperature(i, 0);
         let t_face = 0.5 * (t1 + self.t_wall);
         let k = self.transport.conductivity(t_face);
@@ -341,8 +356,7 @@ impl<'a> NsSolver<'a> {
     /// Wall shear stress magnitude \[Pa\] at cell column `i`.
     #[must_use]
     pub fn wall_shear(&self, i: usize) -> f64 {
-        let m = self.inviscid.grid_metrics();
-        let (nx, nr, dn) = j_face_normal_distance(self.inviscid.grid(), m, i, 0);
+        let JFace { nx, nr, dn, .. } = self.jfaces[i * self.inviscid.ncj()];
         let q = self.inviscid.primitive(i, 0);
         // Tangential component of the first-cell velocity.
         let un = q.ux * nx + q.ur * nr;

@@ -22,7 +22,7 @@
 //! full-NS result.
 
 use crate::euler2d::{ausm_flux, boundary_flux, convective_spectral_sum, Bc, Primitive, NEQ};
-use crate::ns2d::{j_face_normal_distance, Transport};
+use crate::ns2d::{JFace, Transport};
 use aerothermo_gas::GasModel;
 use aerothermo_grid::{Geometry, Metrics, StructuredGrid};
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
@@ -290,10 +290,7 @@ impl<'a> PnsSolver<'a> {
             let here = cell(j);
             let (grid, tr) = (self.grid, &self.transport);
             let g = tr.thin_layer_flux(
-                grid,
-                m,
-                i,
-                j,
+                &JFace::new(grid, m, i, j),
                 j.checked_sub(1).map(cell).ok_or(t_wall),
                 here,
             );
@@ -301,7 +298,8 @@ impl<'a> PnsSolver<'a> {
                 res[k] -= g[k];
             }
             if j + 1 < ncj {
-                let g = tr.thin_layer_flux(grid, m, i, j + 1, Ok(here), cell(j + 1));
+                let face = JFace::new(grid, m, i, j + 1);
+                let g = tr.thin_layer_flux(&face, Ok(here), cell(j + 1));
                 for k in 0..NEQ {
                     res[k] += g[k];
                 }
@@ -583,7 +581,7 @@ impl<'a> PnsSolver<'a> {
         let Some(t_wall) = self.opts.t_wall else {
             return 0.0;
         };
-        let (_, _, dn) = j_face_normal_distance(self.grid, &self.metrics, i, 0);
+        let dn = JFace::new(self.grid, &self.metrics, i, 0).dn;
         let q = self.primitive(i, 0);
         let t1 = self.temperature(&q);
         let k = self.transport.conductivity(0.5 * (t1 + t_wall));

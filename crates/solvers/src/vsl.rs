@@ -26,6 +26,7 @@ use aerothermo_gas::transport::{mixture_conductivity, mixture_viscosity};
 use aerothermo_numerics::interp::MonotoneCubic;
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
 use aerothermo_numerics::tridiag::solve_tridiag;
+use aerothermo_radiation::spectra::SpectralGrid;
 use rayon::prelude::*;
 
 /// VSL problem definition.
@@ -114,14 +115,21 @@ struct PropertyTable {
     cp_of_t: MonotoneCubic,
     /// Optically-thin volumetric radiative loss 4π·∫j_λdλ \[W/m³\] from the
     /// full spectral model (atomic lines + molecular bands) on the
-    /// equilibrium composition at (T, p).
-    sink_of_t: MonotoneCubic,
+    /// equilibrium composition at (T, p); built for radiating problems
+    /// only, the one kind that reads it.
+    sink_of_t: Option<MonotoneCubic>,
     t_min: f64,
     t_max: f64,
 }
 
 impl PropertyTable {
-    fn build(gas: &EquilibriumGas, p: f64, t_min: f64, t_max: f64) -> Result<Self, SolverError> {
+    fn build(
+        gas: &EquilibriumGas,
+        p: f64,
+        t_min: f64,
+        t_max: f64,
+        radiating: bool,
+    ) -> Result<Self, SolverError> {
         let n = 96;
         let ts: Vec<f64> = (0..n)
             .map(|i| t_min * (t_max / t_min).powf(i as f64 / (n - 1) as f64))
@@ -132,23 +140,27 @@ impl PropertyTable {
             .iter()
             .map(|s| s.name.to_string())
             .collect();
-        let lam = aerothermo_radiation::wavelength_grid(0.2e-6, 1.1e-6, 240);
-        let rows: Result<Vec<(f64, f64, f64, f64, f64)>, GasError> = ts
+        let spectral = radiating.then(|| {
+            let lam = aerothermo_radiation::wavelength_grid(0.2e-6, 1.1e-6, 240);
+            SpectralGrid::new(&lam, 2e-9)
+        });
+        let rows: Result<Vec<(f64, f64, f64, f64, Option<f64>)>, GasError> = ts
             .par_iter()
             .map(|&t| {
                 let st = gas.at_tp(t, p)?;
                 let mu = mixture_viscosity(gas.mixture(), t, &st.mass_fractions);
                 let k = mixture_conductivity(gas.mixture(), t, &st.mass_fractions);
-                let sample = aerothermo_radiation::GasSample::equilibrium(
-                    t,
-                    names
-                        .iter()
-                        .cloned()
-                        .zip(st.number_densities.iter().copied())
-                        .collect(),
-                );
-                let spec = aerothermo_radiation::spectra::spectrum(&sample, &lam, 2e-9);
-                let sink = 4.0 * std::f64::consts::PI * spec.total_emission();
+                let sink = spectral.as_ref().map(|grid| {
+                    let sample = aerothermo_radiation::GasSample::equilibrium(
+                        t,
+                        names
+                            .iter()
+                            .cloned()
+                            .zip(st.number_densities.iter().copied())
+                            .collect(),
+                    );
+                    4.0 * std::f64::consts::PI * grid.spectrum(&sample).total_emission()
+                });
                 Ok((st.enthalpy, st.density, mu, k, sink))
             })
             .collect();
@@ -157,7 +169,7 @@ impl PropertyTable {
         let rho: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let mu: Vec<f64> = rows.iter().map(|r| r.2).collect();
         let k: Vec<f64> = rows.iter().map(|r| r.3).collect();
-        let sink: Vec<f64> = rows.iter().map(|r| r.4).collect();
+        let sink: Option<Vec<f64>> = rows.iter().map(|r| r.4).collect();
         // Equilibrium cp = dh/dT (finite differences on the table).
         let mut cp = vec![0.0; n];
         for i in 0..n {
@@ -177,7 +189,7 @@ impl PropertyTable {
             mu_of_t: MonotoneCubic::new(ts.clone(), mu),
             k_of_t: MonotoneCubic::new(ts.clone(), k),
             cp_of_t: MonotoneCubic::new(ts.clone(), cp),
-            sink_of_t: MonotoneCubic::new(ts, sink),
+            sink_of_t: sink.map(|sink| MonotoneCubic::new(ts, sink)),
             t_min,
             t_max,
         })
@@ -253,7 +265,7 @@ fn solve_scaled(
     let t_lo = (0.6 * problem.t_wall).max(250.0);
     let t_hi = (t_edge * 1.35).min(45_000.0);
     let table = telemetry.time_phase("vsl_property_table", || {
-        PropertyTable::build(gas, p_stag, t_lo, t_hi)
+        PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)
     })?;
 
     // Newtonian edge velocity gradient.
@@ -369,8 +381,8 @@ fn solve_scaled(
                 // strongly self-absorbed band heads make this an upper
                 // bound; the refined tangent-slab transport runs in
                 // post-processing). Energy equation: (Γh')' − ρvh' = sink.
-                if problem.radiating {
-                    rhs2[i] += table.sink_of_t.eval(t[i]);
+                if let Some(sink) = &table.sink_of_t {
+                    rhs2[i] += sink.eval(t[i]);
                 }
             }
             let mut h_new = rhs2.clone();
@@ -467,10 +479,10 @@ fn solve_scaled(
 
     // Thin-emission radiative wall flux: half of the volume emission reaches
     // the wall (optically thin limit of the tangent slab).
-    let q_rad_thin = if problem.radiating {
+    let q_rad_thin = if let Some(sink) = &table.sink_of_t {
         let mut q = 0.0;
         for i in 1..n {
-            let em = |k: usize| -> f64 { table.sink_of_t.eval(t[k]) };
+            let em = |k: usize| -> f64 { sink.eval(t[k]) };
             // Half the (isotropic) volume emission reaches the wall.
             q += 0.25 * (em(i) + em(i - 1)) * (y[i] - y[i - 1]);
         }
@@ -492,8 +504,8 @@ fn solve_scaled(
                 min_t = ti;
                 min_t_at = i;
             }
-            if problem.radiating {
-                let s = table.sink_of_t.eval(ti);
+            if let Some(sink) = &table.sink_of_t {
+                let s = sink.eval(ti);
                 min_sink = min_sink.min(s);
                 max_sink = max_sink.max(s);
             }
@@ -629,7 +641,7 @@ impl<'a> VslMarcher<'a> {
         let t_edge0 = jump.t;
         let t_lo = (0.6 * problem.t_wall).max(250.0);
         let t_hi = (t_edge0 * 1.35).min(45_000.0);
-        let table = PropertyTable::build(gas, p_stag, t_lo, t_hi)?;
+        let table = PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)?;
         // Total enthalpy from the freestream state directly.
         let h0 = fs.enthalpy + 0.5 * problem.u_inf * problem.u_inf;
         // Effective expansion exponent at the stagnation state.
@@ -813,8 +825,8 @@ impl<'a> VslMarcher<'a> {
                         di2[i] += conv / dyp;
                         up2[i] -= conv / dyp;
                     }
-                    if problem.radiating {
-                        rhs2[i] += table.sink_of_t.eval(t[i]);
+                    if let Some(sink) = &table.sink_of_t {
+                        rhs2[i] += sink.eval(t[i]);
                     }
                 }
                 let mut h_new = rhs2.clone();
@@ -854,10 +866,9 @@ impl<'a> VslMarcher<'a> {
             if resid.abs() < 1e-4 * mass_target {
                 let g0 = table.k_of_t.eval(problem.t_wall) / table.cp_of_t.eval(problem.t_wall);
                 q_conv = g0 * (h[1] - h[0]) / (y[1] - y[0]);
-                if problem.radiating {
+                if let Some(sink) = &table.sink_of_t {
                     for i in 1..n {
-                        let em =
-                            0.5 * (table.sink_of_t.eval(t[i]) + table.sink_of_t.eval(t[i - 1]));
+                        let em = 0.5 * (sink.eval(t[i]) + sink.eval(t[i - 1]));
                         q_rad += 0.5 * em * (y[i] - y[i - 1]) * 0.5;
                     }
                 }
@@ -1251,6 +1262,33 @@ mod tests {
             "δ = {}",
             sol.standoff
         );
+    }
+
+    #[test]
+    fn only_radiating_solves_compute_spectra() {
+        // One thread, so every spectrum the solve computes counts in this
+        // thread's scope.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let gas = air9_equilibrium();
+        let spectrum_points = |problem: &VslProblem| {
+            pool.install(|| {
+                let scope = aerothermo_numerics::telemetry::TelemetryScope::begin();
+                solve(&gas, problem).unwrap();
+                scope
+                    .thread_delta()
+                    .get(aerothermo_numerics::telemetry::Counter::SpectrumPoints)
+            })
+        };
+        assert_eq!(spectrum_points(&shuttle_problem()), 0);
+        let radiating = VslProblem {
+            radiating: true,
+            ..shuttle_problem()
+        };
+        // One property table: 96 temperatures × 240 wavelengths.
+        assert_eq!(spectrum_points(&radiating), 96 * 240);
     }
 
     #[test]
