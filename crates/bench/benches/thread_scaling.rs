@@ -2,15 +2,13 @@
 //!
 //! The paper's closing challenge — "methods and data structures optimized
 //! for supercomputer processing" — maps today onto multicore scaling. This
-//! bench runs the NS step (cell-parallel residual assembly) and the
-//! spectral-radiation sweep (wavelength-parallel) inside explicit rayon
-//! pools of 1, 2, 4, and all cores.
+//! bench runs the NS step (cell-parallel residual assembly) inside
+//! explicit rayon pools of 1, 2, 4, and all cores. A spectrum is serial
+//! per gas sample; its callers parallelize over samples.
 
 use aerothermo_gas::IdealGas;
 use aerothermo_grid::bodies::Hemisphere;
 use aerothermo_grid::{stretch, StructuredGrid};
-use aerothermo_radiation::spectra::spectrum;
-use aerothermo_radiation::{wavelength_grid, GasSample};
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -79,30 +77,5 @@ fn bench_ns_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_radiation_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spectrum_threads");
-    let sample = GasSample {
-        t: 12_000.0,
-        t_exc: 12_000.0,
-        densities: vec![
-            ("N2".into(), 5e21),
-            ("N2+".into(), 5e18),
-            ("N".into(), 2e22),
-            ("O".into(), 6e21),
-        ],
-    };
-    let lam = wavelength_grid(0.2e-6, 1.0e-6, 4000);
-    for &n in &thread_counts() {
-        group.bench_function(format!("threads_{n}"), |b| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .unwrap();
-            b.iter(|| pool.install(|| black_box(spectrum(&sample, &lam, 1e-9).total_emission())));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_ns_scaling, bench_radiation_scaling);
+criterion_group!(benches, bench_ns_scaling);
 criterion_main!(benches);
