@@ -6,8 +6,9 @@
 //! (`relaxation_march`), direct equilibrium-composition solves, the Titan
 //! shock layer's equilibrium inversions (`equilibrium_inversion`), the
 //! spectral grid build (`spectral_grid`) and the spectra on it
-//! (`spectrum_integration`), Euler blunt-body steps, the viscous-cone PNS
-//! march (`pns_march`), the daemon's float text
+//! (`spectrum_integration`), Euler blunt-body steps on ideal gas
+//! (`euler_step_ideal`) and on the equilibrium table (`euler_step_table`),
+//! the viscous-cone PNS march (`pns_march`), the daemon's float text
 //! (`json_push_f64`), and the distributed-sweep bookkeeping (plan
 //! partitioning, shard-store federation) — and writes every span label's
 //! exact statistics plus kernel counter totals as `BENCH_<label>.json`
@@ -340,8 +341,9 @@ fn run_suite() {
         }
     }
 
-    // Euler blunt-body steps on the E10 hemisphere problem (ideal gas and
-    // equilibrium-table gas paths).
+    // Euler blunt-body steps on the E10 hemisphere problem: 150 ideal-gas
+    // steps (`euler_step_ideal`) and 50 equilibrium-table steps
+    // (`euler_step_table`), each also an `euler_step` occurrence.
     {
         let t = 230.0;
         let p = 300.0;
@@ -365,11 +367,13 @@ fn run_suite() {
         let gas = aerothermo_gas::IdealGas::air();
         let mut solver = EulerSolver::new(&grid, &gas, bc, EulerOptions::default(), fs);
         for _ in 0..150 {
+            let _sp = trace::span("euler_step_ideal");
             solver.step();
         }
         let table = air9_table();
         let mut solver_eq = EulerSolver::new(&grid, table, bc, EulerOptions::default(), fs);
         for _ in 0..50 {
+            let _sp = trace::span("euler_step_table");
             solver_eq.step();
         }
     }

@@ -146,13 +146,12 @@ impl Report {
         }
     }
 
-    /// Fold a controlled run's outcome into the report: progress units,
-    /// retry/rollback counts, and the final CFL (backoff scale × nominal) —
-    /// the resilience metrics CI gates on.
+    /// Fold a controlled run's outcome into the report: progress units, the
+    /// retry count (every retry is one rollback), and the final CFL (backoff
+    /// scale × nominal) — the resilience metrics CI gates on.
     pub fn record_run_outcome(&mut self, label: &str, outcome: &RunOutcome, nominal_cfl: f64) {
         self.metric(&format!("{label}.run_units"), outcome.units as f64);
         self.metric(&format!("{label}.retries"), outcome.retries as f64);
-        self.metric(&format!("{label}.rollbacks"), outcome.retries as f64);
         self.metric(&format!("{label}.final_cfl_scale"), outcome.final_cfl_scale);
         self.metric(
             &format!("{label}.final_cfl"),

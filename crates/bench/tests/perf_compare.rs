@@ -1,9 +1,9 @@
 //! Gates on `perf_snapshot --compare`, the comparator CI runs against
 //! the committed `BENCH_baseline.json`: the baseline passes against
-//! itself, and hand-edited snapshots trip each ratchet-matrix check —
-//! a kernel's normalized mean over its ceiling, a missing kernel, the
-//! surrogate queries/s floor, and the one-shot `euler_step` mark on the
-//! baseline. The Markdown verdict table goes to `GITHUB_STEP_SUMMARY`.
+//! itself and against a candidate with a span it lacks, and hand-edited
+//! snapshots trip each ratchet-matrix check — a kernel's normalized mean
+//! over its ceiling, a missing kernel, the surrogate queries/s floor, and
+//! the one-shot `euler_step` mark on the baseline. The Markdown verdict table goes to `GITHUB_STEP_SUMMARY`.
 
 use aerothermo_bench::json::{self, Put, Value};
 use std::path::{Path, PathBuf};
@@ -72,6 +72,24 @@ fn baseline_passes_against_itself_and_writes_the_summary_table() {
     assert!(table.starts_with("## Perf ratchet matrix\n"), "{table}");
     let rows: Vec<&str> = table.lines().filter(|l| l.ends_with("| ok |")).collect();
     assert_eq!(rows.len(), 8, "six kernels, one mark, one floor:\n{table}");
+
+    // A candidate with a span the baseline lacks still passes; the new
+    // span is listed but not gated.
+    let cand = dir.join("new_span.json");
+    edited(&cand, |spans| {
+        let step = spans["euler_step"].clone();
+        spans.insert("euler_step_table".to_string(), step);
+    });
+    let out = compare(&baseline(), &cand, &dir.join("summary_new_span.md"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.trim_start().starts_with("euler_step_table ")
+                && l.ends_with("new span (no baseline; not gated)")),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
