@@ -61,18 +61,6 @@ impl Vehicle {
             nose_radius: 0.6,
         }
     }
-
-    /// An AOTV-class high-drag aerobrake.
-    #[must_use]
-    pub fn aotv_like() -> Self {
-        Self {
-            mass: 13_000.0,
-            area: 120.0,
-            cd: 1.5,
-            ld: 0.3,
-            nose_radius: 6.0,
-        }
-    }
 }
 
 /// One trajectory sample.

@@ -15,7 +15,7 @@
 //! density [`RHO_SEA_LEVEL`] and circular-orbit speed [`V_CIRCULAR`].
 
 use aerothermo_grid::bodies::Body;
-use aerothermo_solvers::blayer::{lees_distribution, sutton_graves, SUTTON_GRAVES_EARTH};
+use aerothermo_solvers::blayer::{sutton_graves, SUTTON_GRAVES_EARTH};
 
 /// Sea-level air density \[kg/m³\] used to non-dimensionalize the classic
 /// correlation constants.
@@ -148,21 +148,6 @@ impl HeatingModel {
             Self::Scala => "scala",
             Self::DetraKempRiddell => "detra_kemp_riddell",
         }
-    }
-
-    /// Laminar heating distribution `(s, q(s)/q_stag)` over an axisymmetric
-    /// body via Lees' local similarity (shared by every variant — the
-    /// correlation only sets the stagnation value).
-    #[must_use]
-    pub fn lees_over_body(
-        &self,
-        body: &dyn Body,
-        gamma_e: f64,
-        p_stag: f64,
-        p_inf: f64,
-        n: usize,
-    ) -> Vec<(f64, f64)> {
-        lees_distribution(body, gamma_e, p_stag, p_inf, n)
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::stagnation::stagnation_state;
 use aerothermo_atmosphere::trajectory::TrajectoryPoint;
 use aerothermo_gas::equilibrium::{EqSolveScratch, EqState, EquilibriumGas};
-use aerothermo_gas::transport::{mixture_viscosity_with, sutherland_air};
+use aerothermo_gas::transport::mixture_viscosity_with;
 use aerothermo_gas::GasModel;
 use aerothermo_numerics::telemetry::SolverError;
 use aerothermo_radiation::tangent_slab::{solve_slab_samples, Layer};
@@ -308,12 +308,6 @@ pub fn heat_load(pulse: &[HeatPulsePoint]) -> (f64, f64) {
         rad += 0.5 * (w[0].q_rad + w[1].q_rad) * dt;
     }
     (conv, rad)
-}
-
-/// Simple stagnation wall viscosity helper (Sutherland air at the wall).
-#[must_use]
-pub fn wall_viscosity(t_wall: f64) -> f64 {
-    sutherland_air(t_wall)
 }
 
 #[cfg(test)]

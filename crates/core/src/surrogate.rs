@@ -200,12 +200,6 @@ impl SurrogateTable {
         )
     }
 
-    /// Grid shape `(n_altitude, n_velocity)` after refinement.
-    #[must_use]
-    pub fn grid_shape(&self) -> (usize, usize) {
-        (self.h_axis.len(), self.v_axis.len())
-    }
-
     /// Raw bilinear node interpolation of the four stored channels — shared
     /// verbatim by the single and batched entries (and the builder's own
     /// error sampling), so batch-vs-single results are bitwise identical by

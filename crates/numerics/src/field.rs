@@ -94,15 +94,6 @@ impl<T> Field2<T> {
         &self.data[i * self.nj..(i + 1) * self.nj]
     }
 
-    /// Mutable contiguous line at fixed `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= ni`.
-    pub fn line_mut(&mut self, i: usize) -> &mut [T] {
-        assert!(i < self.ni, "line index {i} out of range {}", self.ni);
-        &mut self.data[i * self.nj..(i + 1) * self.nj]
-    }
-
     /// Iterator over `(i, line)` pairs.
     pub fn lines(&self) -> impl Iterator<Item = (usize, &[T])> {
         self.data.chunks_exact(self.nj.max(1)).enumerate()

@@ -156,23 +156,6 @@ impl<'a> PnsSolver<'a> {
         }
     }
 
-    /// Replace the starter column at station `i` with primitive states (one
-    /// per j cell) — e.g. extracted from a nose NS/VSL solution.
-    ///
-    /// # Panics
-    /// Panics when the column length mismatches.
-    pub fn set_station(&mut self, i: usize, column: &[Primitive]) {
-        assert_eq!(column.len(), self.grid.ncj());
-        for (j, q) in column.iter().enumerate() {
-            let e = self.gas.energy(q.rho, q.p);
-            let c = self.u.vector_mut(i, j);
-            c[0] = q.rho;
-            c[1] = q.rho * q.ux;
-            c[2] = q.rho * q.ur;
-            c[3] = q.rho * (e + 0.5 * (q.ux * q.ux + q.ur * q.ur));
-        }
-    }
-
     fn primitive_of(&self, c: &[f64]) -> Primitive {
         let rho = c[0].max(1e-12);
         let ux = c[1] / rho;
@@ -586,13 +569,6 @@ impl<'a> PnsSolver<'a> {
         let t1 = self.temperature(&q);
         let k = self.transport.conductivity(0.5 * (t1 + t_wall));
         k * (t1 - t_wall) / dn
-    }
-
-    /// Extract a starter column from an Euler/NS field at station `i` of a
-    /// matching grid.
-    #[must_use]
-    pub fn column_from_euler(solver: &crate::euler2d::EulerSolver<'_>, i: usize) -> Vec<Primitive> {
-        (0..solver.ncj()).map(|j| solver.primitive(i, j)).collect()
     }
 }
 

@@ -1,6 +1,7 @@
-//! Stagnation-line viscous shock layer (VSL) with equilibrium chemistry and
-//! radiative loss — the solver class behind the paper's Figs. 2–3 (Titan
-//! probe heating environment and species profiles).
+//! Viscous shock layer (VSL) with equilibrium chemistry and radiative loss
+//! — the solver class behind the paper's Figs. 2–3 (Titan probe heating
+//! environment and species profiles) and fig06's windward-heating
+//! cross-check.
 //!
 //! The full shock layer between body and bow shock is solved on the
 //! stagnation line of an axisymmetric blunt body. With `u = x·U(y)` the
@@ -19,6 +20,23 @@
 //! the (constant) stagnation pressure, tabulated once per solve. The total
 //! enthalpy form with Le = 1 carries the reaction (diffusion) energy flux
 //! exactly as the era's VSL codes did.
+//!
+//! The windward [`march`] solves the same column at each body station in
+//! local similarity: `u(y)` replaces `U(y)`, and only these terms change
+//! (stagnation line | march station):
+//!
+//! ```text
+//! continuity     (ρv)' = −2c·ρU       c = 1 | ½Λ,  Λ = d ln(u_e·r_b)/ds
+//! mass balance   2w·∫ρU dy = target   w = 1 | ½,   target = ρ∞u∞ | ½ρ∞u∞·r_b
+//! density        ρ_table(T)·scale     scale = 1 | p_e/p_stag
+//! edge U, h      a, h_edge | u_e, h_e
+//! ρU² and ρ_δa²  present | absent     (dp/ds enters through u_e)
+//! ```
+//!
+//! Both share one preamble (freestream state, equilibrium shock, property
+//! table, grid), one column solve (under-relaxed Picard iterations over the
+//! momentum and energy tridiagonals, secant on δ) and one optically thin
+//! radiative wall flux ½∫E dy.
 
 use aerothermo_gas::equilibrium::EquilibriumGas;
 use aerothermo_gas::error::GasError;
@@ -200,6 +218,302 @@ impl PropertyTable {
     }
 }
 
+/// The shock-layer preamble shared by the stagnation line and the march:
+/// freestream pressure, equilibrium shock jump, the stagnation-pressure
+/// property table and the wall-to-shock grid.
+struct ShockLayer {
+    p_inf: f64,
+    /// Freestream total enthalpy \[J/kg\].
+    h0: f64,
+    p_stag: f64,
+    t_edge: f64,
+    rho_edge: f64,
+    h_edge: f64,
+    t_wall: f64,
+    h_wall: f64,
+    /// Enthalpy bounds of the table, the clamp on each energy update.
+    h_lo: f64,
+    h_hi: f64,
+    /// Freestream mass flux ρ∞u∞ \[kg/(m²·s)\].
+    mdot: f64,
+    table: PropertyTable,
+    /// Wall-clock seconds spent building `table`.
+    table_secs: f64,
+    /// Two-sided clustered coordinate y/δ: boundary layer at the wall,
+    /// shock at the edge.
+    xi: Vec<f64>,
+}
+
+impl ShockLayer {
+    fn new(gas: &EquilibriumGas, problem: &VslProblem) -> Result<Self, SolverError> {
+        // Cold-gas molar mass. The composition is frozen molecular well below
+        // ~1000 K, so evaluate the equilibrium at a comfortable 600 K — same
+        // molar mass, far better conditioning than the 100–200 K freestream
+        // for C/H/N mixtures.
+        let fs = gas
+            .at_trho(problem.t_inf.max(600.0), problem.rho_inf)
+            .map_err(|e| format!("freestream state: {e}"))?;
+        let p_inf = problem.rho_inf * aerothermo_numerics::constants::R_UNIVERSAL * problem.t_inf
+            / fs.molar_mass;
+        // Post-shock equilibrium edge state.
+        let jump = crate::shock::normal_shock(gas, problem.rho_inf, p_inf, problem.u_inf)
+            .map_err(|e| format!("equilibrium shock: {e}"))?;
+        // Stagnation pressure: post-shock static + dynamic recompression.
+        let p_stag = jump.p + 0.5 * jump.rho * jump.u * jump.u;
+        let t_edge = jump.t;
+        // The shock-layer temperatures live in [t_wall, t_edge]; the table
+        // floor only needs modest margin below the wall. Very low
+        // temperatures (< 250 K) strain the equilibrium solver in C/H/N
+        // mixtures without being used.
+        let t_lo = (0.6 * problem.t_wall).max(250.0);
+        let t_hi = (t_edge * 1.35).min(45_000.0);
+        let t0 = std::time::Instant::now();
+        let table = PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)?;
+        let table_secs = t0.elapsed().as_secs_f64();
+        Ok(Self {
+            p_inf,
+            h0: fs.enthalpy + 0.5 * problem.u_inf * problem.u_inf,
+            p_stag,
+            t_edge,
+            rho_edge: table.rho_of_t.eval(t_edge),
+            h_edge: table.h_of_t.eval(t_edge),
+            t_wall: problem.t_wall,
+            h_wall: table.h_of_t.eval(problem.t_wall),
+            h_lo: table.h_of_t.eval(t_lo),
+            h_hi: table.h_of_t.eval(t_hi),
+            mdot: problem.rho_inf * problem.u_inf,
+            table,
+            table_secs,
+            xi: aerothermo_grid::stretch::tanh_two_sided(problem.n_points.max(12), 2.2),
+        })
+    }
+
+    /// Temperature and density (relative to the stagnation-pressure table
+    /// by `density_scale`) at each enthalpy of `h`.
+    fn state(&self, h: &[f64], density_scale: f64, t: &mut [f64], rho: &mut [f64]) {
+        for ((ti, ri), &hv) in t.iter_mut().zip(rho.iter_mut()).zip(h) {
+            *ti = self.table.t(hv);
+            *ri = self.table.rho_of_t.eval(*ti) * density_scale;
+        }
+    }
+
+    /// Solve one shock-layer column, the two-point problem of [`ColumnTerms`]:
+    /// under-relaxed Picard iterations over the momentum and energy
+    /// tridiagonals at fixed δ, with a secant on δ for the mass balance.
+    fn solve_column(&self, terms: &ColumnTerms, relax_scale: f64) -> Result<Column, SolverError> {
+        let (table, xi) = (&self.table, &self.xi);
+        let n = xi.len();
+        let mut delta = terms.delta0;
+        let mut u: Vec<f64> = xi.iter().map(|&z| terms.u_edge * z).collect();
+        let mut h: Vec<f64> = xi
+            .iter()
+            .map(|&z| self.h_wall + (terms.h_edge - self.h_wall) * z)
+            .collect();
+        // Work buffers, reused by every iteration.
+        let work = || vec![0.0; n];
+        let (mut y, mut t, mut rho, mut mu, mut gam) = (work(), work(), work(), work(), work());
+        let (mut rv, mut lo, mut di, mut up) = (work(), work(), work(), work());
+        let (mut u_new, mut h_new) = (work(), work());
+        // Dirichlet end rows: no-slip isothermal wall, Rankine–Hugoniot edge.
+        (di[0], di[n - 1]) = (1.0, 1.0);
+        // Nominal 0.7, rescaled by the retry policy's or the run
+        // controller's backoff (exactly 0.7 at scale 1.0).
+        let relax = 0.7 * relax_scale;
+        let mut delta_prev = delta;
+        let mut mass_prev = f64::NAN;
+        let mut mass_residuals = Vec::new();
+        let (mut converged, mut q_conv) = (false, 0.0);
+
+        for _outer in 0..40 {
+            for (yi, &z) in y.iter_mut().zip(xi) {
+                *yi = z * delta;
+            }
+            for _inner in 0..terms.inner_iters {
+                self.state(&h, terms.density_scale, &mut t, &mut rho);
+                for ((m, g), &tv) in mu.iter_mut().zip(gam.iter_mut()).zip(&t) {
+                    *m = table.mu_of_t.eval(tv);
+                    *g = table.k_of_t.eval(tv) / table.cp_of_t.eval(tv).max(1.0);
+                }
+                continuity(terms.continuity, &rho, &u, &y, &mut rv);
+
+                // Momentum for U (u on the march): (μU')' − ρvU' = source.
+                assemble(&mu, &rv, &y, &mut lo, &mut di, &mut up);
+                u_new.fill(0.0);
+                u_new[n - 1] = terms.u_edge;
+                if let Some(source) = terms.pressure_source {
+                    // ρU² sink (Picard) and pressure source.
+                    for i in 1..n - 1 {
+                        di[i] -= rho[i] * u[i].abs();
+                        u_new[i] = source;
+                    }
+                }
+                solve_tridiag(&lo, &di, &up, &mut u_new)
+                    .map_err(|e| format!("VSL momentum solve: {e}"))?;
+
+                // Total enthalpy (Le = 1): (Γh')' − ρvh' = optically-thin
+                // radiative loss from the spectral model (the strongly
+                // self-absorbed band heads make this an upper bound; the
+                // refined tangent-slab transport runs in post-processing).
+                assemble(&gam, &rv, &y, &mut lo, &mut di, &mut up);
+                h_new.fill(0.0);
+                (h_new[0], h_new[n - 1]) = (self.h_wall, terms.h_edge);
+                if let Some(sink) = &table.sink_of_t {
+                    for i in 1..n - 1 {
+                        h_new[i] += sink.eval(t[i]);
+                    }
+                }
+                solve_tridiag(&lo, &di, &up, &mut h_new)
+                    .map_err(|e| format!("VSL energy solve: {e}"))?;
+
+                // Under-relaxed update; track convergence.
+                let mut du = 0.0_f64;
+                for i in 0..n {
+                    let u_next = (1.0 - relax) * u[i] + relax * u_new[i];
+                    let h_next =
+                        (1.0 - relax) * h[i] + relax * h_new[i].clamp(self.h_lo, self.h_hi);
+                    du = du.max((u_next - u[i]).abs() / terms.u_norm);
+                    du = du.max((h_next - h[i]).abs() / terms.h_edge.abs().max(1.0));
+                    u[i] = u_next;
+                    h[i] = h_next;
+                }
+                if du < 1e-8 {
+                    break;
+                }
+            }
+
+            // Mass-balance eigencondition on δ.
+            self.state(&h, terms.density_scale, &mut t, &mut rho);
+            let mut mass = 0.0;
+            for i in 1..n {
+                mass +=
+                    terms.mass_weight * (rho[i] * u[i] + rho[i - 1] * u[i - 1]) * (y[i] - y[i - 1]);
+            }
+            let resid = mass - terms.mass_target;
+            mass_residuals.push((resid / terms.mass_target).abs());
+            if resid.abs() < terms.mass_tol * terms.mass_target {
+                // Wall heat flux from the enthalpy gradient: q = Γ dh/dy.
+                let g0 = table.k_of_t.eval(self.t_wall) / table.cp_of_t.eval(self.t_wall);
+                q_conv = g0 * (h[1] - h[0]) / (y[1] - y[0]);
+                converged = true;
+                break;
+            }
+            // Secant / proportional update of δ (mass grows ~linearly with δ).
+            let new_delta = if mass_prev.is_finite() && (mass - mass_prev).abs() > 1e-12 {
+                let d = delta - resid * (delta - delta_prev) / (mass - mass_prev);
+                if d > 0.2 * delta && d < 5.0 * delta {
+                    d
+                } else {
+                    delta * (terms.mass_target / mass).clamp(0.5, 2.0)
+                }
+            } else {
+                delta * (terms.mass_target / mass).clamp(0.5, 2.0)
+            };
+            delta_prev = delta;
+            mass_prev = mass;
+            delta = new_delta;
+        }
+        Ok(Column {
+            converged,
+            delta,
+            q_conv,
+            u,
+            h,
+            t,
+            rho,
+            y,
+            mass_residuals,
+        })
+    }
+
+    /// Thin-emission radiative wall flux ½∫E dy: half of the (isotropic)
+    /// volume emission reaches the wall, the optically thin limit of the
+    /// tangent slab. 0 for a non-radiating table.
+    fn thin_wall_flux(&self, t: &[f64], y: &[f64]) -> f64 {
+        let Some(sink) = &self.table.sink_of_t else {
+            return 0.0;
+        };
+        let mut q = 0.0;
+        for i in 1..t.len() {
+            q += 0.25 * (sink.eval(t[i]) + sink.eval(t[i - 1])) * (y[i] - y[i - 1]);
+        }
+        q
+    }
+}
+
+/// The terms that tell one shock-layer column from another (stagnation
+/// line | march station). Continuity `ρv(y) = −2c·∫ρU dy` and the mass
+/// balance `2w·∫ρU dy = target` fix the layer thickness δ.
+struct ColumnTerms {
+    /// Continuity coefficient c: 1 | ½Λ.
+    continuity: f64,
+    /// Mass weight w: 1 | ½.
+    mass_weight: f64,
+    /// Mass-balance target: ρ∞u∞ | ½ρ∞u∞·r_b.
+    mass_target: f64,
+    /// Relative mass-balance tolerance: 1e-5 | 1e-4.
+    mass_tol: f64,
+    /// Density relative to the stagnation-pressure table: 1 | p_e/p_stag.
+    density_scale: f64,
+    /// Edge values of U and h: (a, h_edge) | (u_e, h_e).
+    u_edge: f64,
+    h_edge: f64,
+    /// Scale of the U change in the convergence norm: a | max(u_e, 1).
+    u_norm: f64,
+    /// Stagnation line only: the pressure source −ρ_e·a², which comes with
+    /// the Picard-linearized ρU² sink.
+    pressure_source: Option<f64>,
+    /// Picard iterations per δ: 60 | 50.
+    inner_iters: usize,
+    /// Initial layer thickness \[m\].
+    delta0: f64,
+}
+
+/// One solved shock-layer column: the last iterate, converged or not.
+struct Column {
+    converged: bool,
+    delta: f64,
+    /// Convective wall heat flux \[W/m²\]; 0 unless converged.
+    q_conv: f64,
+    u: Vec<f64>,
+    h: Vec<f64>,
+    t: Vec<f64>,
+    rho: Vec<f64>,
+    y: Vec<f64>,
+    /// Relative mass-balance residual of each δ pass.
+    mass_residuals: Vec<f64>,
+}
+
+/// Continuity `ρv(y) = −2c·∫ρU dy` from `ρv(0) = 0`, trapezoid rule.
+fn continuity(c: f64, rho: &[f64], u: &[f64], y: &[f64], rv: &mut [f64]) {
+    for i in 1..y.len() {
+        rv[i] = rv[i - 1] - c * (rho[i] * u[i] + rho[i - 1] * u[i - 1]) * (y[i] - y[i - 1]);
+    }
+}
+
+/// Interior rows of the operator (wφ')' − ρvφ' on the stretched grid `y`,
+/// with the convection upwinded on the sign of ρv (v < 0 takes its
+/// information from +y).
+fn assemble(w: &[f64], rv: &[f64], y: &[f64], lo: &mut [f64], di: &mut [f64], up: &mut [f64]) {
+    for i in 1..y.len() - 1 {
+        let dym = y[i] - y[i - 1];
+        let dyp = y[i + 1] - y[i];
+        let wm = 0.5 * (w[i] + w[i - 1]) / dym;
+        let wp = 0.5 * (w[i] + w[i + 1]) / dyp;
+        let vol = 0.5 * (dym + dyp);
+        lo[i] = wm / vol;
+        up[i] = wp / vol;
+        di[i] = -(wm + wp) / vol;
+        let conv = rv[i];
+        if conv >= 0.0 {
+            di[i] -= conv / dym;
+            lo[i] += conv / dym;
+        } else {
+            di[i] += conv / dyp;
+            up[i] -= conv / dyp;
+        }
+    }
+}
+
 /// Solve the stagnation-line VSL for an equilibrium gas.
 ///
 /// The returned solution carries a [`RunTelemetry`] sink with the
@@ -234,231 +548,55 @@ pub fn solve_with_retry(
 
 /// Stagnation solve at a given under-relaxation scale (1.0 = the nominal
 /// 0.7 factor; backoff multiplies it down).
-#[allow(clippy::too_many_lines)]
 fn solve_scaled(
     gas: &EquilibriumGas,
     problem: &VslProblem,
     relax_scale: f64,
 ) -> Result<VslSolution, SolverError> {
     let mut telemetry = RunTelemetry::new();
-    let p_inf = problem.rho_inf * aerothermo_numerics::constants::R_UNIVERSAL * problem.t_inf / {
-        // Cold-gas molar mass. The composition is frozen molecular well
-        // below ~1000 K, so evaluate the equilibrium at a comfortable
-        // 600 K — same molar mass, far better conditioning than the
-        // 100–200 K freestream for C/H/N mixtures.
-        let cold = gas
-            .at_trho(problem.t_inf.max(600.0), problem.rho_inf)
-            .map_err(|e| format!("freestream state: {e}"))?;
-        cold.molar_mass
-    };
-
-    // Post-shock equilibrium edge state.
-    let jump = crate::shock::normal_shock(gas, problem.rho_inf, p_inf, problem.u_inf)
-        .map_err(|e| format!("equilibrium shock: {e}"))?;
-    // Stagnation pressure: post-shock static + dynamic recompression.
-    let p_stag = jump.p + 0.5 * jump.rho * jump.u * jump.u;
-    let t_edge = jump.t;
-
-    // The shock-layer temperatures live in [t_wall, t_edge]; the table floor
-    // only needs modest margin below the wall. Very low temperatures (< 250
-    // K) strain the equilibrium solver in C/H/N mixtures without being used.
-    let t_lo = (0.6 * problem.t_wall).max(250.0);
-    let t_hi = (t_edge * 1.35).min(45_000.0);
-    let table = telemetry.time_phase("vsl_property_table", || {
-        PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)
-    })?;
+    let layer = ShockLayer::new(gas, problem)?;
+    telemetry.add_phase_secs("vsl_property_table", layer.table_secs);
+    let (p_stag, rho_edge, mdot) = (layer.p_stag, layer.rho_edge, layer.mdot);
 
     // Newtonian edge velocity gradient.
-    let rho_edge = table.rho_of_t.eval(t_edge);
-    let a_grad = (2.0 * (p_stag - p_inf).max(0.0) / rho_edge).sqrt() / problem.nose_radius;
-
-    let n = problem.n_points.max(12);
-    // Two-sided clustering: boundary layer at the wall, shock at the edge.
-    let xi = aerothermo_grid::stretch::tanh_two_sided(n, 2.2);
-
-    let h_wall = table.h_of_t.eval(problem.t_wall);
-    let h_edge = table.h_of_t.eval(t_edge);
-
-    // Initial guesses.
-    let mdot = problem.rho_inf * problem.u_inf;
-    let mut delta = 0.6 * mdot / (rho_edge * a_grad); // from 2∫ρU ≈ ρ_e·a·δ
-    let mut h: Vec<f64> = xi.iter().map(|&s| h_wall + (h_edge - h_wall) * s).collect();
-    let mut u_fn: Vec<f64> = xi.iter().map(|&s| a_grad * s).collect();
-
-    let mut q_conv = 0.0;
-    let mut converged = false;
-    let mut delta_prev = delta;
-    let mut mass_prev = f64::NAN;
-    let mut mass_resid_hist: Vec<f64> = Vec::new();
+    let a_grad = (2.0 * (p_stag - layer.p_inf).max(0.0) / rho_edge).sqrt() / problem.nose_radius;
     let relax_t0 = std::time::Instant::now();
-
-    for _outer in 0..40 {
-        // Inner Picard iterations at fixed δ.
-        let y: Vec<f64> = xi.iter().map(|&s| s * delta).collect();
-        for _inner in 0..60 {
-            let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
-            let rho: Vec<f64> = t.iter().map(|&tv| table.rho_of_t.eval(tv)).collect();
-            let mu: Vec<f64> = t.iter().map(|&tv| table.mu_of_t.eval(tv)).collect();
-            let gam: Vec<f64> = t
-                .iter()
-                .map(|&tv| table.k_of_t.eval(tv) / table.cp_of_t.eval(tv).max(1.0))
-                .collect();
-
-            // Continuity: ρv(y) = −2∫ρU dy.
-            let mut rv = vec![0.0; n];
-            for i in 1..n {
-                rv[i] =
-                    rv[i - 1] - (rho[i] * u_fn[i] + rho[i - 1] * u_fn[i - 1]) * (y[i] - y[i - 1]);
-            }
-
-            // Momentum tridiagonal for U.
-            let mut lo = vec![0.0; n];
-            let mut di = vec![0.0; n];
-            let mut up = vec![0.0; n];
-            let mut rhs = vec![0.0; n];
-            di[0] = 1.0;
-            rhs[0] = 0.0; // no-slip
-            di[n - 1] = 1.0;
-            rhs[n - 1] = a_grad; // shock edge
-            for i in 1..n - 1 {
-                let dym = y[i] - y[i - 1];
-                let dyp = y[i + 1] - y[i];
-                let mu_m = 0.5 * (mu[i] + mu[i - 1]);
-                let mu_p = 0.5 * (mu[i] + mu[i + 1]);
-                let wm = mu_m / dym;
-                let wp = mu_p / dyp;
-                let vol = 0.5 * (dym + dyp);
-                // diffusion
-                lo[i] = wm / vol;
-                up[i] = wp / vol;
-                di[i] = -(wm + wp) / vol;
-                // convection ρvU' (upwind on sign of rv: v < 0 → info from +y)
-                let conv = rv[i];
-                if conv >= 0.0 {
-                    di[i] -= conv / dym;
-                    lo[i] += conv / dym;
-                } else {
-                    di[i] += conv / dyp;
-                    up[i] -= conv / dyp;
-                }
-                // ρU² sink (Picard) and pressure source
-                di[i] -= rho[i] * u_fn[i].abs();
-                rhs[i] = -rho_edge * a_grad * a_grad;
-            }
-            let mut u_new = rhs.clone();
-            solve_tridiag(&lo, &di, &up, &mut u_new)
-                .map_err(|e| format!("VSL momentum solve: {e}"))?;
-
-            // Energy tridiagonal for h.
-            let mut lo2 = vec![0.0; n];
-            let mut di2 = vec![0.0; n];
-            let mut up2 = vec![0.0; n];
-            let mut rhs2 = vec![0.0; n];
-            di2[0] = 1.0;
-            rhs2[0] = h_wall;
-            di2[n - 1] = 1.0;
-            rhs2[n - 1] = h_edge;
-            for i in 1..n - 1 {
-                let dym = y[i] - y[i - 1];
-                let dyp = y[i + 1] - y[i];
-                let g_m = 0.5 * (gam[i] + gam[i - 1]);
-                let g_p = 0.5 * (gam[i] + gam[i + 1]);
-                let wm = g_m / dym;
-                let wp = g_p / dyp;
-                let vol = 0.5 * (dym + dyp);
-                lo2[i] = wm / vol;
-                up2[i] = wp / vol;
-                di2[i] = -(wm + wp) / vol;
-                let conv = rv[i];
-                if conv >= 0.0 {
-                    di2[i] -= conv / dym;
-                    lo2[i] += conv / dym;
-                } else {
-                    di2[i] += conv / dyp;
-                    up2[i] -= conv / dyp;
-                }
-                // Optically-thin radiative loss from the spectral model (the
-                // strongly self-absorbed band heads make this an upper
-                // bound; the refined tangent-slab transport runs in
-                // post-processing). Energy equation: (Γh')' − ρvh' = sink.
-                if let Some(sink) = &table.sink_of_t {
-                    rhs2[i] += sink.eval(t[i]);
-                }
-            }
-            let mut h_new = rhs2.clone();
-            solve_tridiag(&lo2, &di2, &up2, &mut h_new)
-                .map_err(|e| format!("VSL energy solve: {e}"))?;
-
-            // Under-relaxed update; track convergence.
-            let mut du = 0.0_f64;
-            for i in 0..n {
-                // Nominal 0.7, rescaled by the retry policy's backoff
-                // (exactly 0.7 at scale 1.0).
-                let relax = 0.7 * relax_scale;
-                let u_next = (1.0 - relax) * u_fn[i] + relax * u_new[i];
-                let h_next = (1.0 - relax) * h[i]
-                    + relax * h_new[i].clamp(table.h_of_t.eval(t_lo), table.h_of_t.eval(t_hi));
-                du = du.max((u_next - u_fn[i]).abs() / a_grad);
-                du = du.max((h_next - h[i]).abs() / h_edge.abs().max(1.0));
-                u_fn[i] = u_next;
-                h[i] = h_next;
-            }
-            if du < 1e-8 {
-                break;
-            }
-        }
-
-        // Mass-balance eigencondition on δ.
-        let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
-        let rho: Vec<f64> = t.iter().map(|&tv| table.rho_of_t.eval(tv)).collect();
-        let y: Vec<f64> = xi.iter().map(|&s| s * delta).collect();
-        let mut mass = 0.0;
-        for i in 1..n {
-            mass += (rho[i] * u_fn[i] + rho[i - 1] * u_fn[i - 1]) * (y[i] - y[i - 1]);
-        }
-        let resid = mass - mdot;
-        mass_resid_hist.push((resid / mdot).abs());
-        if resid.abs() < 1e-5 * mdot {
-            converged = true;
-            // Wall heat flux from the enthalpy gradient: q = Γ dh/dy.
-            let g0 = table.k_of_t.eval(problem.t_wall) / table.cp_of_t.eval(problem.t_wall);
-            q_conv = g0 * (h[1] - h[0]) / (y[1] - y[0]);
-            break;
-        }
-        // Secant / proportional update of δ (mass grows ~linearly with δ).
-        let new_delta = if mass_prev.is_finite() && (mass - mass_prev).abs() > 1e-12 {
-            let d = delta - resid * (delta - delta_prev) / (mass - mass_prev);
-            if d > 0.2 * delta && d < 5.0 * delta {
-                d
-            } else {
-                delta * (mdot / mass).clamp(0.5, 2.0)
-            }
-        } else {
-            delta * (mdot / mass).clamp(0.5, 2.0)
-        };
-        delta_prev = delta;
-        mass_prev = mass;
-        delta = new_delta;
-    }
-
+    let column = layer.solve_column(
+        &ColumnTerms {
+            continuity: 1.0,
+            mass_weight: 1.0,
+            mass_target: mdot,
+            mass_tol: 1e-5,
+            density_scale: 1.0,
+            u_edge: a_grad,
+            h_edge: layer.h_edge,
+            u_norm: a_grad,
+            pressure_source: Some(-rho_edge * a_grad * a_grad),
+            inner_iters: 60,
+            // From 2∫ρU ≈ ρ_e·a·δ.
+            delta0: 0.6 * mdot / (rho_edge * a_grad),
+        },
+        relax_scale,
+    )?;
     telemetry.add_phase_secs("vsl_relax", relax_t0.elapsed().as_secs_f64());
-    telemetry.record_history("standoff_mass_residual", mass_resid_hist.clone());
-    if !converged {
+    let Column {
+        y, t, rho, u, h, ..
+    } = &column;
+    let mass_residuals = &column.mass_residuals;
+    telemetry.record_history("standoff_mass_residual", mass_residuals.clone());
+    let mass_resid = mass_residuals.last().copied().unwrap_or(f64::NAN);
+    if !column.converged {
         return Err(SolverError::IterationLimit {
             context: "VSL standoff iteration".to_string(),
             iters: 40,
-            residual: mass_resid_hist.last().copied().unwrap_or(f64::NAN),
+            residual: mass_resid,
         });
     }
 
     // Assemble stations with equilibrium compositions (parallel).
-    let y: Vec<f64> = xi.iter().map(|&s| s * delta).collect();
-    let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
-    let rho: Vec<f64> = t.iter().map(|&tv| table.rho_of_t.eval(tv)).collect();
+    let n = y.len();
     let mut rv = vec![0.0; n];
-    for i in 1..n {
-        rv[i] = rv[i - 1] - (rho[i] * u_fn[i] + rho[i - 1] * u_fn[i - 1]) * (y[i] - y[i - 1]);
-    }
+    continuity(1.0, rho, u, y, &mut rv);
     let stations: Result<Vec<VslStation>, GasError> = (0..n)
         .into_par_iter()
         .map(|i| {
@@ -468,7 +606,7 @@ fn solve_scaled(
                 temperature: t[i],
                 density: rho[i],
                 enthalpy: h[i],
-                u_grad: u_fn[i],
+                u_grad: u[i],
                 mass_flux: rv[i],
                 mole_fractions: st.mole_fractions,
                 number_densities: st.number_densities,
@@ -476,25 +614,11 @@ fn solve_scaled(
         })
         .collect();
     let stations = stations?;
-
-    // Thin-emission radiative wall flux: half of the volume emission reaches
-    // the wall (optically thin limit of the tangent slab).
-    let q_rad_thin = if let Some(sink) = &table.sink_of_t {
-        let mut q = 0.0;
-        for i in 1..n {
-            let em = |k: usize| -> f64 { sink.eval(t[k]) };
-            // Half the (isotropic) volume emission reaches the wall.
-            q += 0.25 * (em(i) + em(i - 1)) * (y[i] - y[i - 1]);
-        }
-        q
-    } else {
-        0.0
-    };
+    let q_rad_thin = layer.thin_wall_flux(t, y);
 
     // Physics audits over the converged layer: mass-balance closure,
     // radiative-sink nonnegativity, and state positivity.
     if crate::audit::cadence() != 0 {
-        let mass_resid = mass_resid_hist.last().copied().unwrap_or(f64::NAN);
         let mut min_t = f64::INFINITY;
         let mut min_t_at = 0usize;
         let mut min_sink = f64::INFINITY;
@@ -504,7 +628,7 @@ fn solve_scaled(
                 min_t = ti;
                 min_t_at = i;
             }
-            if let Some(sink) = &table.sink_of_t {
+            if let Some(sink) = &layer.table.sink_of_t {
                 let s = sink.eval(ti);
                 min_sink = min_sink.min(s);
                 max_sink = max_sink.max(s);
@@ -516,8 +640,8 @@ fn solve_scaled(
                 mass_resid,
                 1e-4,
                 1e-2,
-                mass_resid_hist.len(),
-                format!("relative 2∫ρU dy defect at δ = {delta:.4e} m"),
+                mass_residuals.len(),
+                format!("relative 2∫ρU dy defect at δ = {:.4e} m", column.delta),
             ),
             crate::audit::positivity_finding("temperature_positivity", min_t, (min_t_at, 0), n),
         ];
@@ -535,10 +659,10 @@ fn solve_scaled(
     }
 
     Ok(VslSolution {
-        standoff: delta,
+        standoff: column.delta,
         p_stag,
-        t_edge,
-        q_conv,
+        t_edge: layer.t_edge,
+        q_conv: column.q_conv,
         q_rad_thin,
         stations,
         species_names: gas
@@ -593,18 +717,9 @@ pub struct VslMarcher<'a> {
     n_stations: usize,
     gas_desc: String,
     // Station-independent preamble.
-    p_inf: f64,
-    p_stag: f64,
-    table: PropertyTable,
-    h0: f64,
+    layer: ShockLayer,
     gamma_e: f64,
     smax: f64,
-    n: usize,
-    xi: Vec<f64>,
-    h_wall: f64,
-    t_lo: f64,
-    t_hi: f64,
-    mdot_inf: f64,
     // Run-control state.
     next_station: usize,
     relax_scale: f64,
@@ -627,52 +742,21 @@ impl<'a> VslMarcher<'a> {
         n_stations: usize,
     ) -> Result<Self, SolverError> {
         let march_t0 = std::time::Instant::now();
-        // One freestream evaluation serves both the cold-gas molar mass and
-        // the total enthalpy below (the latter used to silently fall back to
-        // 0.0 on a second, failable evaluation).
-        let fs = gas
-            .at_trho(problem.t_inf.max(600.0), problem.rho_inf)
-            .map_err(|e| format!("freestream state: {e}"))?;
-        let p_inf = problem.rho_inf * aerothermo_numerics::constants::R_UNIVERSAL * problem.t_inf
-            / fs.molar_mass;
-        let jump = crate::shock::normal_shock(gas, problem.rho_inf, p_inf, problem.u_inf)
-            .map_err(|e| format!("equilibrium shock: {e}"))?;
-        let p_stag = jump.p + 0.5 * jump.rho * jump.u * jump.u;
-        let t_edge0 = jump.t;
-        let t_lo = (0.6 * problem.t_wall).max(250.0);
-        let t_hi = (t_edge0 * 1.35).min(45_000.0);
-        let table = PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)?;
-        // Total enthalpy from the freestream state directly.
-        let h0 = fs.enthalpy + 0.5 * problem.u_inf * problem.u_inf;
+        let layer = ShockLayer::new(gas, problem)?;
         // Effective expansion exponent at the stagnation state.
         let gamma_e = {
-            let rho_s = table.rho_of_t.eval(t_edge0);
-            let e_s = table.h_of_t.eval(t_edge0) - p_stag / rho_s;
-            1.0 + p_stag / (rho_s * e_s.max(1e3))
+            let rho_s = layer.rho_edge;
+            let e_s = layer.h_edge - layer.p_stag / rho_s;
+            1.0 + layer.p_stag / (rho_s * e_s.max(1e3))
         };
-
-        let smax = body.arc_length();
-        let n = problem.n_points.max(12);
-        let xi = aerothermo_grid::stretch::tanh_two_sided(n, 2.2);
-        let h_wall = table.h_of_t.eval(problem.t_wall);
-        let mdot_inf = problem.rho_inf * problem.u_inf;
         Ok(Self {
             problem: problem.clone(),
             body,
             n_stations,
             gas_desc: format!("equilibrium({} species)", gas.mixture().species().len()),
-            p_inf,
-            p_stag,
-            table,
-            h0,
+            layer,
             gamma_e,
-            smax,
-            n,
-            xi,
-            h_wall,
-            t_lo,
-            t_hi,
-            mdot_inf,
+            smax: body.arc_length(),
             next_station: 1,
             relax_scale: 1.0,
             stations: Vec::new(),
@@ -687,222 +771,74 @@ impl<'a> VslMarcher<'a> {
         &self.stations
     }
 
-    /// Solve one station's shock-layer two-point problem. `Ok(None)` when
-    /// the station is geometrically degenerate or fails to converge (the
-    /// march skips it, matching the original loop's semantics).
-    #[allow(clippy::too_many_lines)]
+    /// Modified-Newtonian edge pressure and isentropic effective-γ edge
+    /// velocity at arc length `s`.
+    fn edge(&self, s: f64) -> (f64, f64) {
+        let (p_inf, p_stag, gamma_e) = (self.layer.p_inf, self.layer.p_stag, self.gamma_e);
+        let p_e = p_inf + (p_stag - p_inf) * self.body.body_angle(s).sin().powi(2);
+        let u_e =
+            (2.0 * self.layer.h0 * (1.0 - (p_e / p_stag).powf((gamma_e - 1.0) / gamma_e)).max(0.0))
+                .sqrt();
+        (p_e, u_e)
+    }
+
+    /// Solve one station's shock-layer column. `Ok(None)` when the station
+    /// is geometrically degenerate or fails to converge (the march skips
+    /// it).
     fn solve_station(&self, k: usize) -> Result<Option<VslMarchStation>, SolverError> {
         let _sp = aerothermo_numerics::trace::span("vsl_station");
-        let (problem, body, table) = (&self.problem, self.body, &self.table);
-        let (p_inf, p_stag, h0, gamma_e) = (self.p_inf, self.p_stag, self.h0, self.gamma_e);
-        let (smax, n, h_wall, mdot_inf) = (self.smax, self.n, self.h_wall, self.mdot_inf);
-        let (t_lo, t_hi) = (self.t_lo, self.t_hi);
-        let xi = &self.xi;
-        let n_stations = self.n_stations;
-        let s = smax * k as f64 / n_stations as f64;
-        let theta = body.body_angle(s);
-        let (_, r_b) = body.point(s);
+        let (layer, smax) = (&self.layer, self.smax);
+        let s = smax * k as f64 / self.n_stations as f64;
+        let (_, r_b) = self.body.point(s);
         if r_b < 1e-6 {
             return Ok(None);
         }
-        let p_e = p_inf + (p_stag - p_inf) * theta.sin().powi(2);
-        let u_e =
-            (2.0 * h0 * (1.0 - (p_e / p_stag).powf((gamma_e - 1.0) / gamma_e)).max(0.0)).sqrt();
+        let (p_e, u_e) = self.edge(s);
         if u_e < 1.0 {
             return Ok(None);
         }
-        let h_e = (h0 - 0.5 * u_e * u_e).max(h_wall * 1.05);
-        let t_e = table.t(h_e);
-        let p_scale = p_e / p_stag;
+        let h_e = (layer.h0 - 0.5 * u_e * u_e).max(layer.h_wall * 1.05);
+        let p_scale = p_e / layer.p_stag;
 
         // Axisymmetric divergence rate Λ = d ln(u_e·r_b)/ds by differences.
         let lambda = {
-            let ds = 1e-3 * smax;
-            let s2 = (s + ds).min(smax);
-            let th2 = body.body_angle(s2);
-            let (_, rb2) = body.point(s2);
-            let pe2 = p_inf + (p_stag - p_inf) * th2.sin().powi(2);
-            let ue2 =
-                (2.0 * h0 * (1.0 - (pe2 / p_stag).powf((gamma_e - 1.0) / gamma_e)).max(0.0)).sqrt();
+            let s2 = (s + 1e-3 * smax).min(smax);
+            let (_, rb2) = self.body.point(s2);
+            let (_, ue2) = self.edge(s2);
             ((ue2 * rb2).max(1e-30).ln() - (u_e * r_b).max(1e-30).ln()) / (s2 - s).max(1e-12)
         }
         .max(1e-6);
 
         // Mass balance target: ∫ρu dy = ρ∞·u∞·r_b/2.
-        let mass_target = 0.5 * mdot_inf * r_b;
-
-        // Solve the station: unknowns u(y), h(y); thickness δ by secant.
-        let rho_e = table.rho_of_t.eval(t_e) * p_scale;
-        let mut delta = (mass_target / (0.5 * rho_e * u_e)).max(1e-6);
-        let mut u: Vec<f64> = xi.iter().map(|&z| u_e * z).collect();
-        let mut h: Vec<f64> = xi.iter().map(|&z| h_wall + (h_e - h_wall) * z).collect();
-        let mut converged = false;
-        let mut delta_prev = delta;
-        let mut mass_prev = f64::NAN;
-        let mut q_conv = 0.0;
-        let mut q_rad = 0.0;
-
-        'outer: for _pass in 0..40 {
-            let y: Vec<f64> = xi.iter().map(|&z| z * delta).collect();
-            for _inner in 0..50 {
-                let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
-                let rho: Vec<f64> = t
-                    .iter()
-                    .map(|&tv| table.rho_of_t.eval(tv) * p_scale)
-                    .collect();
-                let mu: Vec<f64> = t.iter().map(|&tv| table.mu_of_t.eval(tv)).collect();
-                let gam: Vec<f64> = t
-                    .iter()
-                    .map(|&tv| table.k_of_t.eval(tv) / table.cp_of_t.eval(tv).max(1.0))
-                    .collect();
-
-                // Continuity with streamwise divergence.
-                let mut rv = vec![0.0; n];
-                for i in 1..n {
-                    rv[i] = rv[i - 1]
-                        - 0.5
-                            * lambda
-                            * (rho[i] * u[i] + rho[i - 1] * u[i - 1])
-                            * (y[i] - y[i - 1]);
-                }
-
-                // Tangential momentum (local similarity, dp/ds absorbed in
-                // the u_e edge condition).
-                let mut lo = vec![0.0; n];
-                let mut di = vec![0.0; n];
-                let mut up = vec![0.0; n];
-                let mut rhs = vec![0.0; n];
-                di[0] = 1.0;
-                rhs[0] = 0.0;
-                di[n - 1] = 1.0;
-                rhs[n - 1] = u_e;
-                for i in 1..n - 1 {
-                    let dym = y[i] - y[i - 1];
-                    let dyp = y[i + 1] - y[i];
-                    let wm = 0.5 * (mu[i] + mu[i - 1]) / dym;
-                    let wp = 0.5 * (mu[i] + mu[i + 1]) / dyp;
-                    let vol = 0.5 * (dym + dyp);
-                    lo[i] = wm / vol;
-                    up[i] = wp / vol;
-                    di[i] = -(wm + wp) / vol;
-                    let conv = rv[i];
-                    if conv >= 0.0 {
-                        di[i] -= conv / dym;
-                        lo[i] += conv / dym;
-                    } else {
-                        di[i] += conv / dyp;
-                        up[i] -= conv / dyp;
-                    }
-                }
-                let mut u_new = rhs.clone();
-                solve_tridiag(&lo, &di, &up, &mut u_new)
-                    .map_err(|e| format!("march momentum at s={s:.3}: {e}"))?;
-
-                // Total-enthalpy equation (Le = 1; dissipation folded via
-                // the Pr≈1 total-enthalpy form).
-                let mut lo2 = vec![0.0; n];
-                let mut di2 = vec![0.0; n];
-                let mut up2 = vec![0.0; n];
-                let mut rhs2 = vec![0.0; n];
-                di2[0] = 1.0;
-                rhs2[0] = h_wall;
-                di2[n - 1] = 1.0;
-                rhs2[n - 1] = h_e;
-                for i in 1..n - 1 {
-                    let dym = y[i] - y[i - 1];
-                    let dyp = y[i + 1] - y[i];
-                    let wm = 0.5 * (gam[i] + gam[i - 1]) / dym;
-                    let wp = 0.5 * (gam[i] + gam[i + 1]) / dyp;
-                    let vol = 0.5 * (dym + dyp);
-                    lo2[i] = wm / vol;
-                    up2[i] = wp / vol;
-                    di2[i] = -(wm + wp) / vol;
-                    let conv = rv[i];
-                    if conv >= 0.0 {
-                        di2[i] -= conv / dym;
-                        lo2[i] += conv / dym;
-                    } else {
-                        di2[i] += conv / dyp;
-                        up2[i] -= conv / dyp;
-                    }
-                    if let Some(sink) = &table.sink_of_t {
-                        rhs2[i] += sink.eval(t[i]);
-                    }
-                }
-                let mut h_new = rhs2.clone();
-                solve_tridiag(&lo2, &di2, &up2, &mut h_new)
-                    .map_err(|e| format!("march energy at s={s:.3}: {e}"))?;
-
-                let mut du = 0.0_f64;
-                for i in 0..n {
-                    // Nominal 0.7, rescaled by the run controller's backoff
-                    // (exactly 0.7 at scale 1.0).
-                    let relax = 0.7 * self.relax_scale;
-                    let un = (1.0 - relax) * u[i] + relax * u_new[i];
-                    let hn = (1.0 - relax) * h[i]
-                        + relax * h_new[i].clamp(table.h_of_t.eval(t_lo), table.h_of_t.eval(t_hi));
-                    du = du.max((un - u[i]).abs() / u_e.max(1.0));
-                    du = du.max((hn - h[i]).abs() / h_e.abs().max(1.0));
-                    u[i] = un;
-                    h[i] = hn;
-                }
-                if du < 1e-8 {
-                    break;
-                }
-            }
-
-            // Mass balance on δ.
-            let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
-            let rho: Vec<f64> = t
-                .iter()
-                .map(|&tv| table.rho_of_t.eval(tv) * p_scale)
-                .collect();
-            let y: Vec<f64> = xi.iter().map(|&z| z * delta).collect();
-            let mut mass = 0.0;
-            for i in 1..n {
-                mass += 0.5 * (rho[i] * u[i] + rho[i - 1] * u[i - 1]) * (y[i] - y[i - 1]);
-            }
-            let resid = mass - mass_target;
-            if resid.abs() < 1e-4 * mass_target {
-                let g0 = table.k_of_t.eval(problem.t_wall) / table.cp_of_t.eval(problem.t_wall);
-                q_conv = g0 * (h[1] - h[0]) / (y[1] - y[0]);
-                if let Some(sink) = &table.sink_of_t {
-                    for i in 1..n {
-                        let em = 0.5 * (sink.eval(t[i]) + sink.eval(t[i - 1]));
-                        q_rad += 0.5 * em * (y[i] - y[i - 1]) * 0.5;
-                    }
-                }
-                converged = true;
-                break 'outer;
-            }
-            let new_delta = if mass_prev.is_finite() && (mass - mass_prev).abs() > 1e-12 {
-                let d = delta - resid * (delta - delta_prev) / (mass - mass_prev);
-                if d > 0.2 * delta && d < 5.0 * delta {
-                    d
-                } else {
-                    delta * (mass_target / mass).clamp(0.5, 2.0)
-                }
-            } else {
-                delta * (mass_target / mass).clamp(0.5, 2.0)
-            };
-            delta_prev = delta;
-            mass_prev = mass;
-            delta = new_delta;
-        }
-
-        if converged {
-            Ok(Some(VslMarchStation {
-                s,
-                r_body: r_b,
-                p_edge: p_e,
+        let mass_target = 0.5 * layer.mdot * r_b;
+        let rho_e = layer.table.rho_of_t.eval(layer.table.t(h_e)) * p_scale;
+        // Tangential momentum in local similarity: dp/ds is absorbed in the
+        // u_e edge condition, so the column carries no pressure source.
+        let column = layer.solve_column(
+            &ColumnTerms {
+                continuity: 0.5 * lambda,
+                mass_weight: 0.5,
+                mass_target,
+                mass_tol: 1e-4,
+                density_scale: p_scale,
                 u_edge: u_e,
-                delta,
-                q_conv,
-                q_rad_thin: q_rad,
-            }))
-        } else {
-            Ok(None)
-        }
+                h_edge: h_e,
+                u_norm: u_e.max(1.0),
+                pressure_source: None,
+                inner_iters: 50,
+                delta0: (mass_target / (0.5 * rho_e * u_e)).max(1e-6),
+            },
+            self.relax_scale,
+        )?;
+        Ok(column.converged.then(|| VslMarchStation {
+            s,
+            r_body: r_b,
+            p_edge: p_e,
+            u_edge: u_e,
+            delta: column.delta,
+            q_conv: column.q_conv,
+            q_rad_thin: layer.thin_wall_flux(&column.t, &column.y),
+        }))
     }
 
     /// Solve the next station and record it if it converged; skipped
@@ -1083,7 +1019,7 @@ impl crate::runctl::Steppable for VslMarcher<'_> {
         crate::runctl::RunMeta {
             tag: "vsl_march".to_string(),
             gas: self.gas_desc.clone(),
-            shape: (self.n_stations, self.n, 7),
+            shape: (self.n_stations, self.layer.xi.len(), 7),
         }
     }
 
@@ -1111,8 +1047,8 @@ impl crate::runctl::Steppable for VslMarcher<'_> {
 /// axisymmetric body in the local-similarity approximation — the mode in
 /// which the era's VSL codes produced whole-forebody heating environments.
 ///
-/// At each station the normal momentum/energy two-point problem of the
-/// stagnation solver is re-solved with:
+/// At each station the shock-layer column of the stagnation solver is
+/// re-solved with:
 ///
 /// * modified-Newtonian edge pressure `p_e(s)` and the isentropic
 ///   effective-γ edge velocity `u_e(s)`,
@@ -1325,6 +1261,31 @@ mod tests {
         );
         // Edge velocity grows toward the shoulder.
         assert!(stations.last().unwrap().u_edge > stations[0].u_edge);
+    }
+
+    #[test]
+    fn march_thin_radiative_flux_starts_at_the_stagnation_value() {
+        // fig03's radiating Titan probe: the first march station sits next
+        // to the stagnation point, so its optically thin wall flux must
+        // match the stagnation line's ½∫E dy.
+        let gas = titan_equilibrium(0.05);
+        let problem = VslProblem {
+            u_inf: 10_100.0,
+            rho_inf: 4.6e-4,
+            t_inf: 165.0,
+            nose_radius: 0.6,
+            t_wall: 1800.0,
+            n_points: 56,
+            radiating: true,
+        };
+        let body = aerothermo_grid::bodies::Hemisphere::new(problem.nose_radius);
+        let first = march(&gas, &problem, &body, 20).unwrap().stations[0].clone();
+        let stag = solve(&gas, &problem).unwrap();
+        let ratio = first.q_rad_thin / stag.q_rad_thin;
+        assert!(
+            (0.8..=1.25).contains(&ratio),
+            "first-station q_rad_thin / stagnation q_rad_thin = {ratio:.3}"
+        );
     }
 
     #[test]

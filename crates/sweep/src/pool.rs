@@ -70,11 +70,6 @@ pub struct SweepOptions {
     /// records have been written this run (in-flight cases still finish,
     /// so with several workers a few extra records may land).
     pub halt_after_cases: Option<usize>,
-    /// Thread budget for *within*-case kernel parallelism. The default of
-    /// 1 pins each case to its worker thread, which is what makes per-case
-    /// counter attribution exact and results scheduling-independent; raise
-    /// it only for single-worker sweeps of big CFD cases.
-    pub intra_case_threads: usize,
     /// JSONL lifecycle-event sink path (`--events=PATH`); `None` disables
     /// the stream. See [`crate::events`] for the schema.
     pub events_path: Option<String>,
@@ -109,7 +104,6 @@ impl std::fmt::Debug for SweepOptions {
             .field("resume", &self.resume)
             .field("default_timeout_secs", &self.default_timeout_secs)
             .field("halt_after_cases", &self.halt_after_cases)
-            .field("intra_case_threads", &self.intra_case_threads)
             .field("events_path", &self.events_path)
             .field("heartbeat_secs", &self.heartbeat_secs)
             .field("trace_base", &self.trace_base)
@@ -132,7 +126,6 @@ impl Default for SweepOptions {
             resume: false,
             default_timeout_secs: f64::NAN,
             halt_after_cases: None,
-            intra_case_threads: 1,
             events_path: None,
             heartbeat_secs: 0.25,
             trace_base: None,
@@ -179,15 +172,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Run one case pinned to the calling thread: nested `par_iter` work stays
-/// here (`ThreadPool::install`), the equilibrium warm-start cache is reset
+/// here (a one-thread `ThreadPool::install`), the equilibrium warm-start cache is reset
 /// so results don't depend on what ran on this thread before, and the
 /// thread-scoped counter delta attributes kernel work to exactly this case.
 /// When `trace_path` is set, the case's span timeline (accumulated in this
 /// thread's trace buffer) is drained into a standalone Chrome-trace file —
 /// draining also keeps spans from bleeding into the worker's next case.
-fn run_pinned(case: &CaseSpec, intra_threads: usize, trace_path: Option<&str>) -> PinnedOut {
+fn run_pinned(case: &CaseSpec, trace_path: Option<&str>) -> PinnedOut {
     let pool = ThreadPoolBuilder::new()
-        .num_threads(intra_threads.max(1))
+        .num_threads(1)
         .build()
         .expect("vendored pool build cannot fail");
     pool.install(|| {
@@ -276,16 +269,15 @@ fn execute_case(case: &CaseSpec, worker: usize, opts: &SweepOptions) -> CaseOutc
         .as_deref()
         .map(|base| per_case_path(base, &case.id));
     let pinned = match effective_timeout(case, opts) {
-        None => run_pinned(case, opts.intra_case_threads, trace_path.as_deref()),
+        None => run_pinned(case, trace_path.as_deref()),
         Some(limit) => {
             let (tx, rx) = mpsc::channel();
             let case2 = case.clone();
-            let intra = opts.intra_case_threads;
             let tpath = trace_path.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("sweep-{}", case.id))
                 .spawn(move || {
-                    let _ = tx.send(run_pinned(&case2, intra, tpath.as_deref()));
+                    let _ = tx.send(run_pinned(&case2, tpath.as_deref()));
                 });
             match spawned {
                 Err(e) => (
