@@ -518,7 +518,6 @@ fn run_suite() {
             ..PnsOptions::default()
         };
         for _ in 0..3 {
-            let _sp = trace::span("pns_march");
             let sol = PnsSolver::new(&grid, &gas, opts.clone(), fs)
                 .march(8)
                 .expect("pns march");

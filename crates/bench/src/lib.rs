@@ -82,7 +82,7 @@ pub fn run_options(figure: &str, max_units: usize, tol: f64) -> RunOptions {
 /// Machine-readable run summary for a figure binary.
 ///
 /// Collects qualitative-check verdicts, named scalar metrics, kernel
-/// counter deltas, solver phase timings, and residual histories; `finish`
+/// counter deltas, span timings, and residual histories; `finish`
 /// writes them as JSON when `--report[=PATH]` was passed (CI parses and
 /// gates on this file).
 pub struct Report {
@@ -130,12 +130,9 @@ impl Report {
         self.body.metrics.push((name.to_string(), value));
     }
 
-    /// Fold a solver's [`RunTelemetry`] into the report: its phases and
-    /// residual histories, prefixed with `label`.
+    /// Fold a solver's [`RunTelemetry`] into the report: its residual
+    /// histories, prefixed with `label`, and its audit findings.
     pub fn absorb_telemetry(&mut self, label: &str, telemetry: &RunTelemetry) {
-        for (name, secs) in telemetry.phases() {
-            self.body.phases.push((format!("{label}.{name}"), *secs));
-        }
         for (name, hist) in telemetry.histories() {
             self.body
                 .histories

@@ -96,6 +96,22 @@ fn fig06_audits_have_no_hard_failures_and_the_trace_is_wired() {
     for k in ["calls", "p50_ns", "p90_ns", "p99_ns", "total_ns"] {
         assert!(eq.get(k).is_some(), "timing equilibrium_state missing {k}");
     }
+    // Solver phases are spans: the march's property table and its
+    // controlled run reach `timings`, and no separate phase object exists.
+    for label in ["vsl_property_table", "runctl"] {
+        let calls = report
+            .get("timings")
+            .and_then(|t| t.get(label))
+            .and_then(|e| num(e, "calls"));
+        assert!(
+            calls.is_some_and(|c| c >= 1.0),
+            "no {label} span timing in the fig06 report"
+        );
+    }
+    assert!(
+        report.get("phases").is_none(),
+        "the report still carries a phases object"
+    );
 }
 
 #[test]

@@ -7,6 +7,7 @@ use aerothermo_gas::equilibrium::{EqSolveScratch, EqState, EquilibriumGas};
 use aerothermo_gas::transport::mixture_viscosity_with;
 use aerothermo_gas::GasModel;
 use aerothermo_numerics::telemetry::SolverError;
+use aerothermo_numerics::trace;
 use aerothermo_radiation::tangent_slab::{solve_slab_samples, Layer};
 use aerothermo_radiation::{wavelength_grid, GasSample};
 #[cfg(test)]
@@ -214,35 +215,19 @@ pub fn radiative_tangent_slab(
     lambda_hi: f64,
     n_lambda: usize,
 ) -> Result<f64, SolverError> {
-    radiative_tangent_slab_with_telemetry(gas, problem, lambda_lo, lambda_hi, n_lambda)
-        .map(|(q, _)| q)
-}
-
-/// [`radiative_tangent_slab`] that also returns the VSL solve's
-/// [`aerothermo_numerics::telemetry::RunTelemetry`] (phase timings and the
-/// standoff residual history) for run reports.
-///
-/// # Errors
-/// Propagates VSL failures.
-pub fn radiative_tangent_slab_with_telemetry(
-    gas: &EquilibriumGas,
-    problem: &VslProblem,
-    lambda_lo: f64,
-    lambda_hi: f64,
-    n_lambda: usize,
-) -> Result<(f64, aerothermo_numerics::telemetry::RunTelemetry), SolverError> {
-    let mut sol = vsl_solve(gas, problem)?;
-    let q = tangent_slab_over_stations(&mut sol, lambda_lo, lambda_hi, n_lambda);
-    Ok((q, sol.telemetry))
+    let sol = vsl_solve(gas, problem)?;
+    Ok(tangent_slab_over_stations(
+        &sol, lambda_lo, lambda_hi, n_lambda,
+    ))
 }
 
 /// Spectral tangent-slab wall flux \[W/m²\] over an already-converged VSL
-/// layer. The transport cost lands in the solution's own telemetry as the
-/// `tangent_slab` phase, so callers that solved the layer themselves (e.g.
-/// via `solve_with_retry`) don't pay for a second VSL solve the way the
-/// [`radiative_tangent_slab`] convenience entry does.
+/// layer, the transport timed as the `tangent_slab` trace span. Callers
+/// that solved the layer themselves (e.g. via `solve_with_retry`) don't pay
+/// for a second VSL solve the way the [`radiative_tangent_slab`]
+/// convenience entry does.
 pub fn tangent_slab_over_stations(
-    sol: &mut aerothermo_solvers::vsl::VslSolution,
+    sol: &aerothermo_solvers::vsl::VslSolution,
     lambda_lo: f64,
     lambda_hi: f64,
     n_lambda: usize,
@@ -269,7 +254,7 @@ pub fn tangent_slab_over_stations(
             sample: GasSample::equilibrium(t, densities),
         });
     }
-    let rad = sol.telemetry.time_phase("tangent_slab", || {
+    let rad = trace::spanned("tangent_slab", || {
         solve_slab_samples(&layers, &lambda, 1e-9)
     });
     rad.total_wall_flux()

@@ -15,7 +15,8 @@
 use crate::equilibrium::EquilibriumGas;
 use crate::model::GasModel;
 use aerothermo_numerics::interp::BilinearTable;
-use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
+use aerothermo_numerics::telemetry::SolverError;
+use aerothermo_numerics::trace;
 use rayon::prelude::*;
 
 /// Resolution and range options for [`EqTable::build`].
@@ -129,27 +130,13 @@ pub struct EqTable {
 impl EqTable {
     /// Build the table from an equilibrium-gas model.
     ///
-    /// Rows (fixed density) are generated in parallel; each row sweeps the
-    /// temperature range, then reinterpolates the sweep onto the common
-    /// energy axis.
+    /// Rows (fixed density) are generated in parallel, timed as the
+    /// `eq_table_rows` trace span; each row sweeps the temperature range,
+    /// then reinterpolates the sweep onto the common energy axis.
     ///
     /// # Errors
     /// Propagates equilibrium-solver failures with the offending `(T, ρ)`.
     pub fn build(gas: &EquilibriumGas, opts: &EqTableOptions) -> Result<Self, SolverError> {
-        Self::build_with_telemetry(gas, opts).map(|(table, _)| table)
-    }
-
-    /// [`EqTable::build`] that also returns the run's telemetry: the
-    /// `eq_table_rows` phase timing and the equilibrium-state counter delta
-    /// attributable to the build.
-    ///
-    /// # Errors
-    /// Same as [`EqTable::build`].
-    pub fn build_with_telemetry(
-        gas: &EquilibriumGas,
-        opts: &EqTableOptions,
-    ) -> Result<(Self, RunTelemetry), SolverError> {
-        let mut telemetry = RunTelemetry::new();
         if opts.n_rho < 2 || opts.n_e < 2 || opts.n_t < 2 {
             return Err(SolverError::BadInput(format!(
                 "eq_table: need at least 2 nodes per axis (n_rho={}, n_e={}, n_t={})",
@@ -180,7 +167,7 @@ impl EqTable {
 
         // Per-row result: (lnp, T, y[ns]) on the common energy axis.
         type Row = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
-        let rows: Result<Vec<Row>, String> = telemetry.time_phase("eq_table_rows", || {
+        let rows: Result<Vec<Row>, String> = trace::spanned("eq_table_rows", || {
             ln_rho
                 .par_iter()
                 .map(|&lr| {
@@ -297,7 +284,7 @@ impl EqTable {
             .iter()
             .map(|s| s.name.to_string())
             .collect();
-        let table = Self {
+        Ok(Self {
             lnp: BilinearTable::new(ln_rho.clone(), ln_e.clone(), lnp_v),
             temp: BilinearTable::new(ln_rho.clone(), ln_e.clone(), t_v),
             a2: BilinearTable::new(ln_rho.clone(), ln_e.clone(), a2_v),
@@ -309,8 +296,7 @@ impl EqTable {
             species_names,
             e_range: opts.e_range,
             rho_range: opts.rho_range,
-        };
-        Ok((table, telemetry))
+        })
     }
 
     /// Species names, table order.

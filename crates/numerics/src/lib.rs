@@ -21,9 +21,9 @@
 //! * [`json`] — the JSON parser and the one writer of every artifact,
 //! * [`report`] — the `--report` document of figure binaries and sweeps,
 //! * [`constants`] — physical constants in SI units,
-//! * [`telemetry`] — solver observability: kernel counter names, phase
-//!   timers, residual monitors with divergence detection, physics-audit
-//!   findings, and the shared [`telemetry::SolverError`] type,
+//! * [`telemetry`] — solver observability: kernel counter names, residual
+//!   monitors with divergence detection, physics-audit findings, and the
+//!   shared [`telemetry::SolverError`] type,
 //! * [`trace`] — the one instrumentation registry: exact RAII span timing
 //!   with histograms, per-thread kernel counters, gauges, Chrome
 //!   trace-event export, and JSON / Prometheus-style exposition.

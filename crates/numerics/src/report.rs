@@ -22,8 +22,6 @@ pub struct RunReport {
     pub metrics: Vec<(String, f64)>,
     /// Exact per-span timings.
     pub timings: Vec<SpanStats>,
-    /// Named phase durations \[s\].
-    pub phases: Vec<(String, f64)>,
     /// Named residual histories.
     pub histories: Vec<(String, Vec<f64>)>,
     /// `(solver label, finding)` per audit finding.
@@ -54,7 +52,6 @@ impl RunReport {
             o.object("timings", Layout::Inline, |t| {
                 trace::write_timings(t, &self.timings);
             });
-            o.object("phases", Layout::Block, |p| p.members(&self.phases));
             o.object("histories", Layout::Block, |h| {
                 for (name, hist) in &self.histories {
                     h.put(name, &hist[..]);

@@ -8,8 +8,9 @@
 //!   per thread in the [`crate::trace`] registry — one integer add per
 //!   *solve*, not per cell, so the overhead on the solver kernels is
 //!   unmeasurable.
-//! - [`RunTelemetry`]: a per-run sink collecting monotonic wall-clock phase
-//!   timings, residual convergence histories, and audit findings.
+//! - [`RunTelemetry`]: a per-run sink collecting residual convergence
+//!   histories and audit findings. It reads no clock: solver phases are
+//!   [`crate::trace`] spans.
 //! - [`ResidualMonitor`]: per-iteration residual recording with early
 //!   NaN/Inf detection and sliding-window divergence detection, so an
 //!   unstable run terminates with [`SolverError::Diverged`] instead of
@@ -22,8 +23,6 @@
 //!   replacing the previous bare `String` errors. `Display` output keeps
 //!   the wording of the old messages (lower-level `String` diagnostics pass
 //!   through [`SolverError::Numerical`] verbatim).
-
-use std::time::Instant;
 
 /// Named kernel counters incremented by the numerical kernels.
 pub mod counters {
@@ -565,44 +564,23 @@ impl Default for ResidualMonitor {
     }
 }
 
-/// Per-run telemetry sink: wall-clock phases, residual histories, audit
-/// findings, and the reference residual convergence is measured against.
+/// Per-run telemetry sink: residual histories, audit findings, and the
+/// reference residual convergence is measured against.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
-    started: Instant,
-    phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<AuditFinding>,
     reference_residual: f64,
 }
 
 impl RunTelemetry {
-    /// Start a telemetry scope now.
+    /// An empty telemetry sink.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            started: Instant::now(),
-            phases: Vec::new(),
             histories: Vec::new(),
             audits: Vec::new(),
             reference_residual: f64::NAN,
-        }
-    }
-
-    /// Time a phase with the monotonic clock and record it.
-    pub fn time_phase<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        self.add_phase_secs(name, t0.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Record a phase timing measured externally (accumulates on repeat).
-    pub fn add_phase_secs(&mut self, name: &str, secs: f64) {
-        if let Some(p) = self.phases.iter_mut().find(|(n, _)| n == name) {
-            p.1 += secs;
-        } else {
-            self.phases.push((name.to_string(), secs));
         }
     }
 
@@ -633,18 +611,6 @@ impl RunTelemetry {
     #[must_use]
     pub fn worst_audit_severity(&self) -> Option<AuditSeverity> {
         self.audits.iter().map(|a| a.severity).max()
-    }
-
-    /// Wall-clock seconds since the scope started (monotonic).
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Recorded `(name, seconds)` phases.
-    #[must_use]
-    pub fn phases(&self) -> &[(String, f64)] {
-        &self.phases
     }
 
     /// Recorded `(name, residuals)` histories.
@@ -867,16 +833,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_phases_and_histories() {
+    fn telemetry_records_histories() {
         let mut t = RunTelemetry::new();
-        let x = t.time_phase("setup", || 41 + 1);
-        assert_eq!(x, 42);
-        t.add_phase_secs("setup", 0.0);
         t.record_history("res", vec![1.0, 0.5]);
         t.record_history("res", vec![1.0, 0.5, 0.25]);
-        assert_eq!(t.phases().len(), 1);
         assert_eq!(t.histories().len(), 1);
         assert_eq!(t.histories()[0].1.len(), 3);
-        assert!(t.elapsed_secs() >= 0.0);
     }
 }

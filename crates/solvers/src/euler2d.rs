@@ -518,7 +518,7 @@ pub struct EulerSolver<'a> {
     /// Run-control safety mode: force first-order reconstruction
     /// independent of the startup schedule.
     force_first_order: bool,
-    /// Run observability: phase timings, residual histories, counter deltas.
+    /// Run observability: residual histories and audit findings.
     pub telemetry: RunTelemetry,
     /// Face-based-assembly buffers (see [`EulerScratch`]).
     pub(crate) scratch: EulerScratch,

@@ -113,8 +113,7 @@ pub struct PnsSolver<'a> {
     solution: PnsSolution,
     /// Run-control CFL scale (1.0 = nominal; halved on rollback).
     cfl_scale: f64,
-    /// Run observability: phase timings, per-station step and residual
-    /// ratio histories, counter deltas.
+    /// Run observability: per-station step and residual ratio histories.
     pub telemetry: RunTelemetry,
 }
 
@@ -495,7 +494,7 @@ impl<'a> PnsSolver<'a> {
     /// [`SolverError::NonFinite`] with the first affected cell when NaN/Inf
     /// appears in a relaxed station column.
     pub fn march(&mut self, i_start: usize) -> Result<PnsSolution, SolverError> {
-        let t0 = std::time::Instant::now();
+        let _span = trace::span("pns_march");
         let nci = self.grid.nci();
         self.next_station = i_start.max(1);
         self.solution = PnsSolution::default();
@@ -506,8 +505,6 @@ impl<'a> PnsSolver<'a> {
                 break;
             }
         }
-        self.telemetry
-            .add_phase_secs("pns_march", t0.elapsed().as_secs_f64());
         self.record_station_histories();
         match failure {
             Some(e) => Err(e),

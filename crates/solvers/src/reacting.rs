@@ -277,7 +277,7 @@ pub struct ReactingSolver<'a> {
     steps: usize,
     /// Run-control CFL scale (1.0 = nominal; halved on rollback).
     cfl_scale: f64,
-    /// Run observability: phase timings, residual histories, counter deltas.
+    /// Run observability: residual histories and audit findings.
     pub telemetry: RunTelemetry,
     scratch: ReactingScratch,
 }

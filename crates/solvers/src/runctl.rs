@@ -452,8 +452,8 @@ fn fresh_monitor(startup: usize) -> ResidualMonitor {
 /// Run a [`Steppable`] solver to convergence (or through all its units)
 /// under checkpoint/rollback control. See the module docs for the policy.
 ///
-/// Records `runctl_residual` and `runctl_cfl_scale` histories and the
-/// `runctl` phase timing in the solver's telemetry.
+/// Records `runctl_residual` and `runctl_cfl_scale` histories in the
+/// solver's telemetry; the run is timed as the `runctl` trace span.
 ///
 /// # Errors
 /// Surfaces the underlying [`SolverError`] once the retry budget is
@@ -527,7 +527,7 @@ fn run_inner<S: Steppable + ?Sized>(
     opts: &RunOptions,
     fl: &mut FlightCtl<'_>,
 ) -> Result<RunOutcome, SolverError> {
-    let t0 = std::time::Instant::now();
+    let _span = trace::span("runctl");
     // A solver that already ran past its start-up units keeps the reference
     // it measured there; a fresh one reports NaN until that unit.
     let mut reference = solver.telemetry_mut().reference_residual();
@@ -708,7 +708,6 @@ fn run_inner<S: Steppable + ?Sized>(
     residual_history.extend(monitor.into_history());
     let telemetry = solver.telemetry_mut();
     telemetry.set_reference_residual(reference);
-    telemetry.add_phase_secs("runctl", t0.elapsed().as_secs_f64());
     telemetry.record_history("runctl_residual", residual_history);
     telemetry.record_history("runctl_cfl_scale", cfl_history);
 

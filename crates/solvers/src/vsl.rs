@@ -43,6 +43,7 @@ use aerothermo_gas::error::GasError;
 use aerothermo_gas::transport::{mixture_conductivity, mixture_viscosity};
 use aerothermo_numerics::interp::MonotoneCubic;
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
+use aerothermo_numerics::trace;
 use aerothermo_numerics::tridiag::solve_tridiag;
 use aerothermo_radiation::spectra::SpectralGrid;
 use rayon::prelude::*;
@@ -105,8 +106,8 @@ pub struct VslSolution {
     pub stations: Vec<VslStation>,
     /// Species names (mixture order).
     pub species_names: Vec<String>,
-    /// Run observability: property-table / relaxation phase timings, the
-    /// standoff mass-balance residual history, and counter deltas.
+    /// Run observability: the standoff mass-balance residual history and
+    /// any audit findings.
     pub telemetry: RunTelemetry,
 }
 
@@ -237,8 +238,6 @@ struct ShockLayer {
     /// Freestream mass flux ρ∞u∞ \[kg/(m²·s)\].
     mdot: f64,
     table: PropertyTable,
-    /// Wall-clock seconds spent building `table`.
-    table_secs: f64,
     /// Two-sided clustered coordinate y/δ: boundary layer at the wall,
     /// shock at the edge.
     xi: Vec<f64>,
@@ -267,9 +266,9 @@ impl ShockLayer {
         // mixtures without being used.
         let t_lo = (0.6 * problem.t_wall).max(250.0);
         let t_hi = (t_edge * 1.35).min(45_000.0);
-        let t0 = std::time::Instant::now();
-        let table = PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)?;
-        let table_secs = t0.elapsed().as_secs_f64();
+        let table = trace::spanned("vsl_property_table", || {
+            PropertyTable::build(gas, p_stag, t_lo, t_hi, problem.radiating)
+        })?;
         Ok(Self {
             p_inf,
             h0: fs.enthalpy + 0.5 * problem.u_inf * problem.u_inf,
@@ -283,7 +282,6 @@ impl ShockLayer {
             h_hi: table.h_of_t.eval(t_hi),
             mdot: problem.rho_inf * problem.u_inf,
             table,
-            table_secs,
             xi: aerothermo_grid::stretch::tanh_two_sided(problem.n_points.max(12), 2.2),
         })
     }
@@ -516,51 +514,58 @@ fn assemble(w: &[f64], rv: &[f64], y: &[f64], lo: &mut [f64], di: &mut [f64], up
 
 /// Solve the stagnation-line VSL for an equilibrium gas.
 ///
-/// The returned solution carries a [`RunTelemetry`] sink with the
-/// property-table and relaxation phase timings and the standoff
-/// mass-balance residual history.
+/// The returned solution carries a [`RunTelemetry`] sink with the standoff
+/// mass-balance residual history. The property table and the relaxation
+/// are timed as the `vsl_property_table` and `vsl_relax` trace spans.
 ///
 /// # Errors
 /// Propagates shock-jump, property-table, and convergence failures as
 /// typed [`SolverError`]s ([`SolverError::IterationLimit`] when the
 /// standoff iteration exhausts its budget).
 pub fn solve(gas: &EquilibriumGas, problem: &VslProblem) -> Result<VslSolution, SolverError> {
-    solve_scaled(gas, problem, 1.0)
+    let layer = ShockLayer::new(gas, problem)?;
+    solve_scaled(gas, problem, &layer, 1.0)
 }
 
 /// [`solve`] under the shared retry/backoff policy
 /// ([`crate::runctl::retry_with_backoff`]): on a recoverable failure (the
 /// standoff iteration exhausting its budget, non-finite contamination) the
-/// under-relaxation factor is scaled down and the solve repeated. The
-/// returned [`crate::runctl::RetryOutcome`] carries the solution plus the
-/// retries consumed and the scale that succeeded.
+/// under-relaxation factor is scaled down and the column solve repeated
+/// on the same preamble. The returned [`crate::runctl::RetryOutcome`]
+/// carries the solution plus the retries consumed and the scale that
+/// succeeded.
 ///
 /// # Errors
 /// The last attempt's error once the budget is exhausted, or immediately
-/// for non-recoverable failures (bad inputs, table construction).
+/// for non-recoverable failures and for preamble failures (freestream
+/// state, equilibrium shock, property table), whose inputs do not depend
+/// on the scale.
 pub fn solve_with_retry(
     gas: &EquilibriumGas,
     problem: &VslProblem,
     max_retries: usize,
 ) -> Result<crate::runctl::RetryOutcome<VslSolution>, SolverError> {
-    crate::runctl::retry_with_backoff(max_retries, |scale| solve_scaled(gas, problem, scale))
+    let layer = ShockLayer::new(gas, problem)?;
+    crate::runctl::retry_with_backoff(max_retries, |scale| {
+        solve_scaled(gas, problem, &layer, scale)
+    })
 }
 
-/// Stagnation solve at a given under-relaxation scale (1.0 = the nominal
-/// 0.7 factor; backoff multiplies it down).
+/// Stagnation column solve and station assembly on a built preamble at a
+/// given under-relaxation scale (1.0 = the nominal 0.7 factor; backoff
+/// multiplies it down).
 fn solve_scaled(
     gas: &EquilibriumGas,
     problem: &VslProblem,
+    layer: &ShockLayer,
     relax_scale: f64,
 ) -> Result<VslSolution, SolverError> {
     let mut telemetry = RunTelemetry::new();
-    let layer = ShockLayer::new(gas, problem)?;
-    telemetry.add_phase_secs("vsl_property_table", layer.table_secs);
     let (p_stag, rho_edge, mdot) = (layer.p_stag, layer.rho_edge, layer.mdot);
 
     // Newtonian edge velocity gradient.
     let a_grad = (2.0 * (p_stag - layer.p_inf).max(0.0) / rho_edge).sqrt() / problem.nose_radius;
-    let relax_t0 = std::time::Instant::now();
+    let relax_span = trace::span("vsl_relax");
     let column = layer.solve_column(
         &ColumnTerms {
             continuity: 1.0,
@@ -578,7 +583,7 @@ fn solve_scaled(
         },
         relax_scale,
     )?;
-    telemetry.add_phase_secs("vsl_relax", relax_t0.elapsed().as_secs_f64());
+    drop(relax_span);
     let Column {
         y, t, rho, u, h, ..
     } = &column;
@@ -695,12 +700,12 @@ pub struct VslMarchStation {
 }
 
 /// Result of a windward-forebody VSL march: the converged stations plus the
-/// run telemetry (march phase timing and any audit findings).
+/// run telemetry (the station heating history and any audit findings).
 #[derive(Debug, Clone, Default)]
 pub struct VslMarchSolution {
     /// Converged stations ordered by arc length (non-converged ones skipped).
     pub stations: Vec<VslMarchStation>,
-    /// Phase timings, audit findings, and counter deltas for the march.
+    /// The `station_q_conv` history and the audit findings of the march.
     pub telemetry: RunTelemetry,
 }
 
@@ -725,7 +730,6 @@ pub struct VslMarcher<'a> {
     relax_scale: f64,
     stations: Vec<VslMarchStation>,
     telemetry: RunTelemetry,
-    march_t0: std::time::Instant,
 }
 
 impl<'a> VslMarcher<'a> {
@@ -741,7 +745,6 @@ impl<'a> VslMarcher<'a> {
         body: &'a dyn aerothermo_grid::bodies::Body,
         n_stations: usize,
     ) -> Result<Self, SolverError> {
-        let march_t0 = std::time::Instant::now();
         let layer = ShockLayer::new(gas, problem)?;
         // Effective expansion exponent at the stagnation state.
         let gamma_e = {
@@ -761,7 +764,6 @@ impl<'a> VslMarcher<'a> {
             relax_scale: 1.0,
             stations: Vec::new(),
             telemetry: RunTelemetry::new(),
-            march_t0,
         })
     }
 
@@ -786,7 +788,7 @@ impl<'a> VslMarcher<'a> {
     /// is geometrically degenerate or fails to converge (the march skips
     /// it).
     fn solve_station(&self, k: usize) -> Result<Option<VslMarchStation>, SolverError> {
-        let _sp = aerothermo_numerics::trace::span("vsl_station");
+        let _sp = trace::span("vsl_station");
         let (layer, smax) = (&self.layer, self.smax);
         let s = smax * k as f64 / self.n_stations as f64;
         let (_, r_b) = self.body.point(s);
@@ -860,8 +862,8 @@ impl<'a> VslMarcher<'a> {
         }
     }
 
-    /// Close out the march: phase timing, heating history, and the physics
-    /// audits over the converged stations.
+    /// Close out the march: heating history and the physics audits over the
+    /// converged stations.
     ///
     /// # Errors
     /// [`SolverError::Numerical`] when no station converged; hard audit
@@ -873,8 +875,6 @@ impl<'a> VslMarcher<'a> {
                 "VSL march: no station converged".to_string(),
             ));
         }
-        self.telemetry
-            .add_phase_secs("vsl_march", self.march_t0.elapsed().as_secs_f64());
         self.telemetry.record_history(
             "station_q_conv",
             out.iter().map(|st| st.q_conv).collect::<Vec<_>>(),

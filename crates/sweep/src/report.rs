@@ -1,7 +1,7 @@
 //! End-of-sweep aggregate report, schema-compatible with the figure
 //! binaries' `--report` JSON (same top-level keys: `figure`,
 //! `elapsed_secs`, `all_green`, `checks`, `counters`, `metrics`, `timings`,
-//! `phases`, `histories`, `history_summaries`, `audits`, `audit_summary`),
+//! `histories`, `history_summaries`, `audits`, `audit_summary`),
 //! so the CI tooling that parses figure reports parses sweep reports
 //! unchanged.
 
@@ -153,13 +153,6 @@ impl SweepReport {
             }
             metrics.push((format!("{}.retries", o.id), o.retries as f64));
         }
-        // Phases: per-case wall time on its worker (the sweep's analogue
-        // of solver phase timings).
-        let phases: Vec<(String, f64)> = self
-            .outcomes
-            .iter()
-            .map(|o| (format!("case.{}", o.id), o.wall_secs))
-            .collect();
         // Audits: failed/timed-out cases surface as findings so report
         // consumers that only look at audits still see the damage.
         let audits: Vec<(String, AuditFinding)> = self
@@ -186,7 +179,6 @@ impl SweepReport {
             counters: self.summed_counters(),
             metrics,
             timings: self.timings.clone(),
-            phases,
             histories: Vec::new(),
             audits,
             audit_summary: [c.completed + c.resumed, 0, c.failed + c.timed_out],
@@ -246,7 +238,6 @@ mod tests {
             "counters",
             "metrics",
             "timings",
-            "phases",
             "histories",
             "history_summaries",
             "audits",

@@ -259,7 +259,7 @@ fn run_vsl(case: &CaseSpec, n_points: usize, radiating: bool) -> Result<CaseResu
     };
     let out = solve_with_retry(&gas, &problem, case.max_retries)
         .map_err(|e| CaseFailure::new(e, case.max_retries))?;
-    let mut sol = out.value;
+    let sol = out.value;
     let mut res = CaseResult {
         retries: out.retries,
         note: format!("δ/Rn = {:.3}", sol.standoff / f.nose_radius),
@@ -273,10 +273,7 @@ fn run_vsl(case: &CaseSpec, n_points: usize, radiating: bool) -> Result<CaseResu
     if radiating {
         res.metric("q_rad_thin_w_m2", sol.q_rad_thin);
         let (lo, hi, n) = SLAB_BAND;
-        res.metric(
-            "q_rad_w_m2",
-            tangent_slab_over_stations(&mut sol, lo, hi, n),
-        );
+        res.metric("q_rad_w_m2", tangent_slab_over_stations(&sol, lo, hi, n));
     }
     Ok(res)
 }

@@ -255,7 +255,7 @@ fn sweep_report() {
         timings: Vec::new(),
     };
     let text = empty.to_json();
-    assert!(text.contains("\n  \"phases\": {\n  },\n  \"histories\": {\n  },\n"));
+    assert!(text.contains("\n  \"histories\": {\n  },\n"));
     assert!(text.contains("\n  \"timings\": {},\n"));
     assert!(text.contains("\n  \"audits\": [\n  ],\n"));
     assert!(text.ends_with("\"audit_summary\": {\"pass\": 0, \"warn\": 0, \"fail\": 0}\n}\n"));
@@ -330,12 +330,6 @@ const SWEEP_REPORT: &str = r#"{
     "d.retries": 3
   },
   "timings": {"case": {"calls": 4, "p50_ns": 2047, "p90_ns": 400000, "p99_ns": 400000, "min_ns": 1000, "max_ns": 400000, "mean_ns": 101500, "total_ns": 406000}, "store_write": {"calls": 0, "p50_ns": 0, "p90_ns": 0, "p99_ns": 0, "min_ns": 0, "max_ns": 0, "mean_ns": 0, "total_ns": 0}},
-  "phases": {
-    "case.a": 0.125,
-    "case.b": 0.125,
-    "case.c": 0.125,
-    "case.d": 0.125
-  },
   "histories": {
   },
   "history_summaries": {
