@@ -61,6 +61,7 @@ use aerothermo_radiation::GasSample;
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
 use aerothermo_solvers::pns::{PnsOptions, PnsSolver};
+use aerothermo_solvers::runctl::{run_controlled, RunOptions};
 use aerothermo_solvers::shock::normal_shock;
 use aerothermo_solvers::shock1d::{solve as relax_solve, RelaxationProblem};
 use aerothermo_sweep::shard::{federate, partition};
@@ -517,11 +518,14 @@ fn run_suite() {
             t_wall: Some(300.0),
             ..PnsOptions::default()
         };
+        let run_opts = RunOptions {
+            max_units: grid.nci(),
+            ..RunOptions::default()
+        };
         for _ in 0..3 {
-            let sol = PnsSolver::new(&grid, &gas, opts.clone(), fs)
-                .march(8)
-                .expect("pns march");
-            assert_eq!(sol.station_x.len(), 61);
+            let mut pns = PnsSolver::new(&grid, &gas, opts.clone(), fs, 8);
+            trace::spanned("pns_march", || run_controlled(&mut pns, &run_opts)).expect("pns march");
+            assert_eq!(pns.solution().station_x.len(), 61);
         }
     }
 

@@ -7,8 +7,11 @@
 //! `--restart`, `--max-retries`, `--inject-nan`, `--halt-after`), and
 //! sweep orchestration (`--plan`, `--workers`, `--out`, `--resume`,
 //! `--strict`, `--timeout-secs`, `--emit-plan`). Call [`announce`] first
-//! in `main`: it serves `--help` and warns on unrecognized flags so typos
-//! fail loudly instead of silently running the default configuration.
+//! in `main`: it serves `--help`, warns on unrecognized flags and exits 2
+//! on a malformed numeric value, so typos fail loudly instead of silently
+//! running the default configuration.
+
+use std::str::FromStr;
 
 /// Output mode parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +53,12 @@ fn flag_or_value(name: &str, default: &str) -> Option<String> {
     value_of(name)
 }
 
+/// A numeric flag's parsed value; [`announce`] has already rejected a
+/// malformed one.
+fn number<T: FromStr>(value: Option<String>) -> Option<T> {
+    value.and_then(|v| v.parse().ok())
+}
+
 /// Destination for the machine-readable run report, parsed from
 /// `--report` (default `run-report.json`) or `--report=PATH`.
 #[must_use]
@@ -68,7 +77,7 @@ pub fn trace_path() -> Option<String> {
 /// 10 steps) or `--audit=N`. `None` means audits stay disabled.
 #[must_use]
 pub fn audit_cadence() -> Option<usize> {
-    flag_or_value("--audit", "10").map(|n| n.parse().unwrap_or(10))
+    number(flag_or_value("--audit", "10"))
 }
 
 /// Checkpoint cadence in progress units, parsed from `--checkpoint`
@@ -76,7 +85,7 @@ pub fn audit_cadence() -> Option<usize> {
 /// checkpointing off (the in-memory rollback ring is always armed).
 #[must_use]
 pub fn checkpoint_every() -> Option<usize> {
-    flag_or_value("--checkpoint", "100").map(|n| n.parse().unwrap_or(100))
+    number(flag_or_value("--checkpoint", "100"))
 }
 
 /// Restart-file destination for `--checkpoint`, parsed from
@@ -95,9 +104,7 @@ pub fn restart_path() -> Option<String> {
 /// Rollback/retry budget, parsed from `--max-retries=K` (default 3).
 #[must_use]
 pub fn max_retries() -> usize {
-    value_of("--max-retries")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(3)
+    number(value_of("--max-retries")).unwrap_or(3)
 }
 
 /// Fault-injection unit, parsed from `--inject-nan=K` (`--inject-nan`
@@ -105,7 +112,7 @@ pub fn max_retries() -> usize {
 /// completes, exercising the rollback path end to end.
 #[must_use]
 pub fn inject_nan_at() -> Option<usize> {
-    flag_or_value("--inject-nan", "10").map(|n| n.parse().unwrap_or(10))
+    number(flag_or_value("--inject-nan", "10"))
 }
 
 /// Deterministic mid-run halt, parsed from `--halt-after=K` (the CI
@@ -113,7 +120,7 @@ pub fn inject_nan_at() -> Option<usize> {
 /// exits with [`crate::HALT_EXIT_CODE`].
 #[must_use]
 pub fn halt_after() -> Option<usize> {
-    value_of("--halt-after").and_then(|n| n.parse().ok())
+    number(value_of("--halt-after"))
 }
 
 /// Sweep plan file, parsed from `--plan=PATH`.
@@ -125,10 +132,7 @@ pub fn plan_path() -> Option<String> {
 /// Worker-pool width, parsed from `--workers=N` (default 1).
 #[must_use]
 pub fn workers() -> usize {
-    value_of("--workers")
-        .and_then(|n| n.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    number(value_of("--workers")).unwrap_or(1)
 }
 
 /// Sweep result-store destination, parsed from `--out=PATH` (default
@@ -156,9 +160,7 @@ pub fn strict() -> bool {
 /// NaN (no flag) disables the timeout for cases that don't set their own.
 #[must_use]
 pub fn timeout_secs() -> f64 {
-    value_of("--timeout-secs")
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(f64::NAN)
+    number(value_of("--timeout-secs")).unwrap_or(f64::NAN)
 }
 
 /// `--emit-plan=PATH`: write the selected preset plan as JSON and exit
@@ -172,7 +174,7 @@ pub fn emit_plan() -> Option<String> {
 /// analogue of `--halt-after`, for the kill/resume drill).
 #[must_use]
 pub fn halt_after_cases() -> Option<usize> {
-    value_of("--halt-after-cases").and_then(|n| n.parse().ok())
+    number(value_of("--halt-after-cases"))
 }
 
 /// Shard slice, parsed from `--shard=i/n` (raw string; the sweep driver
@@ -287,9 +289,35 @@ const KNOWN_FLAGS: &[(&str, &str)] = &[
     ("--tol", "=FRAC perf-comparison tolerance (perf_snapshot)"),
 ];
 
-/// Serve `--help` (prints the shared flag vocabulary and exits 0) and warn
-/// on `--flags` outside it. Call first in every binary's `main` so an
-/// unknown or misspelled flag is loud instead of silently ignored.
+fn count(v: &str) -> bool {
+    v.parse::<usize>().is_ok()
+}
+
+fn positive_count(v: &str) -> bool {
+    v.parse::<usize>().is_ok_and(|n| n > 0)
+}
+
+fn seconds(v: &str) -> bool {
+    v.parse::<f64>().is_ok_and(|s| s.is_finite() && s > 0.0)
+}
+
+/// The numeric flags: name, validity test and what a valid value is.
+const NUMERIC_FLAGS: &[(&str, fn(&str) -> bool, &str)] = &[
+    ("--max-retries", count, "a whole number"),
+    ("--checkpoint", count, "a whole number"),
+    ("--inject-nan", count, "a whole number"),
+    ("--halt-after", count, "a whole number"),
+    ("--audit", count, "a whole number"),
+    ("--workers", positive_count, "a whole number of at least 1"),
+    ("--timeout-secs", seconds, "finite seconds above 0"),
+    ("--halt-after-cases", count, "a whole number"),
+];
+
+/// Serve `--help` (prints the shared flag vocabulary and exits 0), warn
+/// on `--flags` outside it, and exit 2 naming the flag and the value when
+/// a numeric flag's `=VALUE` does not parse. Call first in every binary's
+/// `main` so an unknown or misspelled flag is loud instead of silently
+/// ignored, and a malformed number never falls back to a default.
 pub fn announce(figure: &str) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -306,6 +334,13 @@ pub fn announce(figure: &str) {
         let stem = a.split('=').next().unwrap_or(a);
         if !KNOWN_FLAGS.iter().any(|(name, _)| *name == stem) {
             eprintln!("# warning: unrecognized flag '{a}' ignored (see --help)");
+        }
+        let value = a.split_once('=').map(|(_, v)| v);
+        if let Some((name, valid, want)) = NUMERIC_FLAGS.iter().find(|(n, ..)| *n == stem) {
+            if let Some(v) = value.filter(|v| !valid(v)) {
+                eprintln!("error: {name}: invalid value '{v}' (want {want})");
+                std::process::exit(2);
+            }
         }
     }
 }
@@ -339,6 +374,19 @@ mod tests {
         assert_eq!(sweep_store_path("figX"), "figX-results.jsonl");
         assert!(events_path("figX").is_none());
         assert_eq!(blackbox_file("figX"), "figX-blackbox.json");
+    }
+
+    #[test]
+    fn numeric_flags_are_known_and_their_tests_reject_junk() {
+        for (name, valid, _) in NUMERIC_FLAGS {
+            assert!(KNOWN_FLAGS.iter().any(|(n, _)| n == name), "{name}");
+            for junk in ["", "x", "-1", "1.5x", "nan", "inf"] {
+                assert!(!valid(junk), "{name} accepted '{junk}'");
+            }
+        }
+        assert!(count("0") && count("7"));
+        assert!(!positive_count("0") && positive_count("2"));
+        assert!(seconds("2.5") && !seconds("0"));
     }
 
     #[test]

@@ -330,8 +330,7 @@ mod tests {
     #[test]
     fn report_history_summary_null_best_roundtrips() {
         // A history that never recorded a finite residual must surface
-        // `best: null` (not 0, not +inf) — the machine-readable analogue
-        // of `ResidualMonitor::best() == None`.
+        // `best: null` (not 0, not +inf).
         let mut r = Report::new("test_fig");
         let mut t = RunTelemetry::new();
         t.record_history("never_finite", vec![f64::NAN, f64::INFINITY]);

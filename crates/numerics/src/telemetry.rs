@@ -11,10 +11,6 @@
 //! - [`RunTelemetry`]: a per-run sink collecting residual convergence
 //!   histories and audit findings. It reads no clock: solver phases are
 //!   [`crate::trace`] spans.
-//! - [`ResidualMonitor`]: per-iteration residual recording with early
-//!   NaN/Inf detection and sliding-window divergence detection, so an
-//!   unstable run terminates with [`SolverError::Diverged`] instead of
-//!   spinning to the iteration cap.
 //! - [`AuditFinding`]: the record type produced by the in-situ physics
 //!   auditors in `aerothermo-solvers` (flux budgets, element conservation,
 //!   positivity, …) and surfaced in `--report` JSON; hard failures escalate
@@ -418,152 +414,6 @@ impl From<&str> for SolverError {
     }
 }
 
-/// Tuning for [`ResidualMonitor`]'s divergence detection.
-#[derive(Debug, Clone)]
-pub struct MonitorOptions {
-    /// Iterations ignored before divergence checks arm (startup transients
-    /// legitimately grow the residual while the flow field forms).
-    pub grace: usize,
-    /// Declare divergence when the residual exceeds `growth_ratio` × the
-    /// best residual seen so far (after `grace`).
-    pub growth_ratio: f64,
-    /// Sliding-window length: divergence also triggers when the residual
-    /// has grown monotonically across this many consecutive iterations by
-    /// at least `window_growth` overall.
-    pub window: usize,
-    /// Minimum overall growth across the window to call it divergence.
-    pub window_growth: f64,
-}
-
-impl Default for MonitorOptions {
-    fn default() -> Self {
-        Self {
-            grace: 50,
-            growth_ratio: 1e6,
-            window: 25,
-            window_growth: 1e3,
-        }
-    }
-}
-
-/// Per-iteration residual recorder with early NaN/Inf and divergence
-/// detection.
-///
-/// Feed it the residual each solver iteration already computes; it returns
-/// `Err` as soon as the history is demonstrably diverging so the caller can
-/// abort with a typed [`SolverError`] instead of running to the cap.
-#[derive(Debug, Clone)]
-pub struct ResidualMonitor {
-    history: Vec<f64>,
-    /// Divergence reference: best residual *after* the grace window (see
-    /// the comment in [`ResidualMonitor::record`]). Kept as a bare f64
-    /// sentinel because it is only ever compared against, never reported.
-    best: f64,
-    /// Reporting value: best finite residual over the whole history, or
-    /// `None` when nothing finite was ever recorded. Kept separate from
-    /// `best` so that the JSON report never renders the `INFINITY`
-    /// sentinel as the invalid token `inf`.
-    best_finite: Option<f64>,
-    opts: MonitorOptions,
-}
-
-impl ResidualMonitor {
-    /// Monitor with default options.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_options(MonitorOptions::default())
-    }
-
-    /// Monitor with explicit divergence tuning.
-    #[must_use]
-    pub fn with_options(opts: MonitorOptions) -> Self {
-        Self {
-            history: Vec::new(),
-            best: f64::INFINITY,
-            best_finite: None,
-            opts,
-        }
-    }
-
-    /// Record one residual; `Err` on NaN/Inf or detected divergence.
-    ///
-    /// # Errors
-    /// [`SolverError::NonFinite`] when the residual is NaN/Inf (with `i` =
-    /// iteration index), [`SolverError::Diverged`] when the growth criteria
-    /// trip.
-    pub fn record(&mut self, residual: f64) -> Result<(), SolverError> {
-        let iter = self.history.len();
-        self.history.push(residual);
-        if residual.is_finite() {
-            self.best_finite = Some(match self.best_finite {
-                Some(b) => b.min(residual),
-                None => residual,
-            });
-        }
-        if !residual.is_finite() {
-            return Err(SolverError::NonFinite {
-                field: "residual",
-                i: iter,
-                j: 0,
-            });
-        }
-        if iter >= self.opts.grace {
-            if residual > self.opts.growth_ratio * self.best {
-                return Err(SolverError::Diverged { iter, residual });
-            }
-            let w = self.opts.window;
-            if iter + 1 >= w.max(2) {
-                let window = &self.history[iter + 1 - w..=iter];
-                let monotone = window.windows(2).all(|p| p[1] >= p[0]);
-                if monotone && residual > self.opts.window_growth * window[0].max(1e-300) {
-                    return Err(SolverError::Diverged { iter, residual });
-                }
-            }
-            // `best` deliberately excludes the grace window: impulsive
-            // starts from uniform flow begin at a near-zero residual that
-            // would make legitimate transient growth look like divergence.
-            self.best = self.best.min(residual);
-        }
-        Ok(())
-    }
-
-    /// Residual history so far (index = iteration).
-    #[must_use]
-    pub fn history(&self) -> &[f64] {
-        &self.history
-    }
-
-    /// Consume the monitor, returning the history.
-    #[must_use]
-    pub fn into_history(self) -> Vec<f64> {
-        self.history
-    }
-
-    /// Iterations recorded.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Best (smallest) finite residual seen, or `None` when no finite
-    /// residual was ever recorded.
-    ///
-    /// Previously this returned the raw `f64::INFINITY` sentinel for an
-    /// empty history, which downstream JSON writers rendered as the
-    /// invalid token `inf`; the `Option` makes "never recorded" a state
-    /// the type system forces callers to handle (reports emit `null`).
-    #[must_use]
-    pub fn best(&self) -> Option<f64> {
-        self.best_finite
-    }
-}
-
-impl Default for ResidualMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Per-run telemetry sink: residual histories, audit findings, and the
 /// reference residual convergence is measured against.
 #[derive(Debug, Clone)]
@@ -695,76 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_accepts_converging_history() {
-        let mut m = ResidualMonitor::new();
-        for k in 0..500 {
-            let r = 1.0 * (0.99_f64).powi(k);
-            m.record(r).unwrap();
-        }
-        assert_eq!(m.iterations(), 500);
-        assert!(m.best().expect("finite residuals recorded") < 1e-2);
-    }
-
-    #[test]
-    fn monitor_best_is_none_until_a_finite_residual_arrives() {
-        let mut m = ResidualMonitor::new();
-        assert_eq!(m.best(), None, "fresh monitor has no best residual");
-        let _ = m.record(f64::INFINITY);
-        assert_eq!(m.best(), None, "Inf must not become the reported best");
-        let mut m2 = ResidualMonitor::new();
-        m2.record(0.25).unwrap();
-        assert_eq!(m2.best(), Some(0.25));
-    }
-
-    #[test]
-    fn monitor_tolerates_startup_transient() {
-        // Residual grows 100x while the flow forms, then converges — the
-        // grace window must keep this from tripping as divergence.
-        let mut m = ResidualMonitor::new();
-        for k in 0..40 {
-            m.record(1e-3 * 1.2_f64.powi(k)).unwrap();
-        }
-        for k in 0..200 {
-            m.record(0.15 * 0.95_f64.powi(k)).unwrap();
-        }
-    }
-
-    #[test]
-    fn monitor_detects_nan() {
-        let mut m = ResidualMonitor::new();
-        m.record(1.0).unwrap();
-        let err = m.record(f64::NAN).unwrap_err();
-        assert!(matches!(
-            err,
-            SolverError::NonFinite {
-                field: "residual",
-                i: 1,
-                j: 0
-            }
-        ));
-    }
-
-    #[test]
-    fn monitor_detects_explosive_growth() {
-        let mut m = ResidualMonitor::with_options(MonitorOptions {
-            grace: 10,
-            ..MonitorOptions::default()
-        });
-        let mut r = 1e-2;
-        let mut tripped = None;
-        for iter in 0..200 {
-            r *= 2.0;
-            if let Err(e) = m.record(r) {
-                tripped = Some((iter, e));
-                break;
-            }
-        }
-        let (iter, err) = tripped.expect("divergence not detected");
-        assert!(iter < 60, "detection too slow: iter {iter}");
-        assert!(matches!(err, SolverError::Diverged { .. }));
-    }
-
-    #[test]
     fn solver_error_display_preserves_strings() {
         let e: SolverError = String::from("freestream state: bad T").into();
         assert_eq!(e.to_string(), "freestream state: bad T");
@@ -785,10 +565,11 @@ mod tests {
     fn nonfinite_residual_display_names_the_iteration() {
         // Residual-level NaN detection stores the iteration in `i`; the
         // message must say so rather than printing a bogus cell pair.
-        let mut m = ResidualMonitor::new();
-        m.record(1.0).unwrap();
-        m.record(0.5).unwrap();
-        let err = m.record(f64::NAN).unwrap_err();
+        let err = SolverError::NonFinite {
+            field: "residual",
+            i: 2,
+            j: 0,
+        };
         assert_eq!(err.to_string(), "non-finite residual at iteration 2");
     }
 

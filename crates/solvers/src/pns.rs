@@ -20,6 +20,12 @@
 //! (slip wall below, freestream inflow above) and the thin-layer viscous
 //! flux of [`crate::ns2d`], so PNS heating is directly comparable with the
 //! full-NS result.
+//!
+//! The solver has no march loop of its own: [`PnsSolver::new`] takes the
+//! first station to relax, and [`crate::runctl::run_controlled`] with
+//! `max_units` = the grid's `nci` drives it, one station per
+//! [`crate::runctl::Steppable::advance`], with checkpoints, rollback and
+//! the flight recorder. [`PnsSolver::solution`] then holds the wall data.
 
 use crate::euler2d::{ausm_flux, boundary_flux, convective_spectral_sum, Bc, Primitive, NEQ};
 use crate::ns2d::{JFace, Transport};
@@ -119,13 +125,16 @@ pub struct PnsSolver<'a> {
 
 impl<'a> PnsSolver<'a> {
     /// Create a marching solver; all columns start at the freestream
-    /// `(ρ, u_x, u_r, p)` (the usual sharp-body starter).
+    /// `(ρ, u_x, u_r, p)` (the usual sharp-body starter). The march relaxes
+    /// stations `i_start..nci` (`i_start` at least 1); the columns before
+    /// it are taken as given.
     #[must_use]
     pub fn new(
         grid: &'a StructuredGrid,
         gas: &'a dyn GasModel,
         opts: PnsOptions,
         freestream: (f64, f64, f64, f64),
+        i_start: usize,
     ) -> Self {
         let (rho, ux, ur, p) = freestream;
         let e = gas.energy(rho, p);
@@ -148,7 +157,7 @@ impl<'a> PnsSolver<'a> {
             opts,
             freestream,
             u,
-            next_station: 1,
+            next_station: i_start.max(1),
             solution: PnsSolution::default(),
             cfl_scale: 1.0,
             telemetry: RunTelemetry::new(),
@@ -472,83 +481,6 @@ impl<'a> PnsSolver<'a> {
         (steps, if norm == 0.0 { 0.0 } else { norm / norm0 })
     }
 
-    fn record_station_histories(&mut self) {
-        self.telemetry.record_history(
-            "station_iterations",
-            self.solution.iterations.iter().map(|&n| n as f64).collect(),
-        );
-        self.telemetry.record_history(
-            "station_residual_ratio",
-            self.solution.residual_ratio.clone(),
-        );
-    }
-
-    /// March stations `i_start..nci`, columns before `i_start` taken as
-    /// given (freestream or user starter). Returns per-station wall data.
-    ///
-    /// A station that merely exhausts its step budget is tolerated (its
-    /// step count and residual ratio are recorded in the solution and
-    /// telemetry); the march only aborts on state contamination.
-    ///
-    /// # Errors
-    /// [`SolverError::NonFinite`] with the first affected cell when NaN/Inf
-    /// appears in a relaxed station column.
-    pub fn march(&mut self, i_start: usize) -> Result<PnsSolution, SolverError> {
-        let _span = trace::span("pns_march");
-        let nci = self.grid.nci();
-        self.next_station = i_start.max(1);
-        self.solution = PnsSolution::default();
-        let mut failure: Option<SolverError> = None;
-        while self.next_station < nci {
-            if let Err(e) = self.advance_station() {
-                failure = Some(e);
-                break;
-            }
-        }
-        self.record_station_histories();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(self.solution.clone()),
-        }
-    }
-
-    /// Relax the next station and append its wall data to the accumulated
-    /// solution. Returns the backward-Euler steps used for the station.
-    ///
-    /// # Errors
-    /// [`SolverError::NonFinite`] on state contamination; audit failures as
-    /// surfaced by [`crate::audit::apply`].
-    pub fn advance_station(&mut self) -> Result<usize, SolverError> {
-        let i = self.next_station;
-        // Initialize from the upstream column (marching continuation).
-        for j in 0..self.grid.ncj() {
-            let up: Vec<f64> = self.u.vector(i - 1, j).to_vec();
-            self.u.vector_mut(i, j).copy_from_slice(&up);
-        }
-        let (iters, ratio) = self.relax_station(i);
-        const FIELD_NAMES: [&str; NEQ] = ["rho", "rho_ux", "rho_ur", "rho_E"];
-        for j in 0..self.grid.ncj() {
-            let cell = self.u.vector(i, j);
-            for (k, name) in FIELD_NAMES.iter().enumerate() {
-                if !cell[k].is_finite() {
-                    return Err(SolverError::NonFinite { field: name, i, j });
-                }
-            }
-        }
-        if crate::audit::due(i) {
-            let findings = crate::audit::station_positivity(&self.u, i, i);
-            crate::audit::apply(&mut self.telemetry, findings)?;
-        }
-        let q0 = self.primitive(i, 0);
-        self.solution.station_x.push(self.metrics.xc[(i, 0)]);
-        self.solution.wall_pressure.push(q0.p);
-        self.solution.wall_heat_flux.push(self.wall_heat_flux(i));
-        self.solution.iterations.push(iters);
-        self.solution.residual_ratio.push(ratio);
-        self.next_station = i + 1;
-        Ok(iters)
-    }
-
     /// Wall data accumulated by the march so far.
     #[must_use]
     pub fn solution(&self) -> &PnsSolution {
@@ -570,11 +502,40 @@ impl<'a> PnsSolver<'a> {
 }
 
 impl crate::runctl::Steppable for PnsSolver<'_> {
+    /// Relax the next station from the upstream column and append its wall
+    /// data. A station that merely exhausts its step budget is kept (its
+    /// step count and residual ratio are recorded); only state
+    /// contamination or a hard audit failure is an error.
     fn advance(&mut self) -> Result<f64, SolverError> {
-        if self.next_station >= self.grid.nci() {
+        const FIELD_NAMES: [&str; NEQ] = ["rho", "rho_ux", "rho_ur", "rho_E"];
+        let i = self.next_station;
+        if i >= self.grid.nci() {
             return Ok(0.0);
         }
-        self.advance_station()?;
+        for j in 0..self.grid.ncj() {
+            let up: Vec<f64> = self.u.vector(i - 1, j).to_vec();
+            self.u.vector_mut(i, j).copy_from_slice(&up);
+        }
+        let (iters, ratio) = self.relax_station(i);
+        for j in 0..self.grid.ncj() {
+            let cell = self.u.vector(i, j);
+            for (k, name) in FIELD_NAMES.iter().enumerate() {
+                if !cell[k].is_finite() {
+                    return Err(SolverError::NonFinite { field: name, i, j });
+                }
+            }
+        }
+        if crate::audit::due(i) {
+            let findings = crate::audit::station_positivity(&self.u, i, i);
+            crate::audit::apply(&mut self.telemetry, findings)?;
+        }
+        let q0 = self.primitive(i, 0);
+        self.solution.station_x.push(self.metrics.xc[(i, 0)]);
+        self.solution.wall_pressure.push(q0.p);
+        self.solution.wall_heat_flux.push(self.wall_heat_flux(i));
+        self.solution.iterations.push(iters);
+        self.solution.residual_ratio.push(ratio);
+        self.next_station = i + 1;
         // Stations either converge or exhaust a bounded budget; the
         // controller's progress unit is the station itself, so report a flat
         // residual and let the non-finite/audit checks drive rollback.
@@ -663,7 +624,14 @@ impl crate::runctl::Steppable for PnsSolver<'_> {
             let findings = crate::audit::station_positivity(&self.u, 1, self.next_station - 1);
             crate::audit::apply(&mut self.telemetry, findings)?;
         }
-        self.record_station_histories();
+        self.telemetry.record_history(
+            "station_iterations",
+            self.solution.iterations.iter().map(|&n| n as f64).collect(),
+        );
+        self.telemetry.record_history(
+            "station_residual_ratio",
+            self.solution.residual_ratio.clone(),
+        );
         Ok(())
     }
 
@@ -679,6 +647,7 @@ impl crate::runctl::Steppable for PnsSolver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runctl::run_to;
     use aerothermo_gas::IdealGas;
     use aerothermo_grid::bodies::SphereCone;
     use aerothermo_grid::stretch;
@@ -703,6 +672,7 @@ mod tests {
             &gas,
             PnsOptions::default(),
             (0.0079, 2400.0, 0.0, 500.0),
+            1,
         );
         let snap = solver.save_state();
         for step in [0, grid.nci() + 1] {
@@ -747,8 +717,10 @@ mod tests {
                 ..PnsOptions::default()
             },
             (rho_inf, v_inf, 0.0, p_inf),
+            6,
         );
-        let sol = solver.march(6).expect("clean march");
+        run_to(&mut solver, grid.nci(), 0.0);
+        let sol = solver.solution();
         // Use the last quarter of stations (conical asymptote).
         let nst = sol.wall_pressure.len();
         let p_cone: f64 =
@@ -778,8 +750,10 @@ mod tests {
                 ..PnsOptions::default()
             },
             (rho_inf, v_inf, 0.0, p_inf),
+            6,
         );
-        let sol = solver.march(6).expect("clean march");
+        run_to(&mut solver, grid.nci(), 0.0);
+        let sol = solver.solution();
         let tail_iters = *sol.iterations.last().unwrap();
         assert!(
             tail_iters < solver.opts.max_station_iters,
@@ -805,8 +779,10 @@ mod tests {
                 ..PnsOptions::default()
             },
             (rho_inf, v_inf, 0.0, p_inf),
+            8,
         );
-        let sol = solver.march(8).expect("clean march");
+        run_to(&mut solver, grid.nci(), 0.0);
+        let sol = solver.solution();
         let n = sol.wall_heat_flux.len();
         let q_quarter = sol.wall_heat_flux[n / 4];
         let q_end = sol.wall_heat_flux[n - 1];

@@ -6,8 +6,8 @@
 //! transient — a startup shock overshoot, a stiff chemistry step — can
 //! destroy hours of integration. Production hypersonic codes therefore ship
 //! restart files and step-size recovery as core features. This module turns
-//! our *detection* layer (`ResidualMonitor`, typed [`SolverError`]s, graded
-//! audits) into *recovery*:
+//! *detection* (a residual monitor, typed [`SolverError`]s, graded audits)
+//! into *recovery*:
 //!
 //! * [`Snapshot`] — a versioned copy of a solver's persistent state (the
 //!   conserved field, the step counter that drives the startup schedule,
@@ -19,21 +19,27 @@
 //!   march station), save/restore state, rescale CFL, and name the unit
 //!   its start-up phase ends at.
 //! * [`run_controlled`] — the one loop that drives a pseudo-time solver
-//!   (solvers have no `run` of their own): residual monitor, convergence
-//!   ratio against the unit [`Steppable::startup_units`] names, and
-//!   [`Steppable::finalize`]. On a recoverable failure (`NonFinite`,
-//!   `AuditFailed`, residual divergence) it restores the last good
-//!   checkpoint, multiplies the CFL scale by [`BACKOFF`] (floor
-//!   [`MIN_CFL_SCALE`]), optionally drops to first-order reconstruction,
-//!   retries up to a budget, and re-ramps the CFL after clean units.
+//!   or a station march (solvers have no `run` or `march` of their own):
+//!   residual monitor, convergence ratio against the unit
+//!   [`Steppable::startup_units`] names, and [`Steppable::finalize`]. On a
+//!   recoverable failure (`NonFinite`, `AuditFailed`, residual divergence)
+//!   it restores the last good checkpoint, multiplies the CFL scale by
+//!   [`BACKOFF`] (floor [`MIN_CFL_SCALE`]), optionally drops to
+//!   first-order reconstruction, retries up to a budget, and re-ramps the
+//!   CFL one notch after [`RERAMP_AFTER`] clean units. The flight recorder
+//!   keeps the last [`flight::DEFAULT_CAPACITY`] units for the black box.
 //! * [`retry_with_backoff`] — the same policy for single-shot solvers
-//!   (the 1-D relaxation march, the stagnation VSL solve, the PNS march)
-//!   that have no incremental state to checkpoint.
+//!   (the 1-D relaxation march, the stagnation VSL solve) that have no
+//!   incremental state to checkpoint.
+//!
+//! The residual monitor is fixed, not tuned per run: a non-finite residual
+//! fails at once; after a grace window of the solver's start-up units plus
+//! 25, a residual above 10⁶ × the best one seen since the window, or one
+//! that grew monotonically across the last 25 units by more than 10³
+//! overall, is [`SolverError::Diverged`].
 
 use crate::flight;
-use aerothermo_numerics::telemetry::{
-    counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
-};
+use aerothermo_numerics::telemetry::{counters, Counter, RunTelemetry, SolverError};
 use aerothermo_numerics::trace;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -52,6 +58,21 @@ pub const BACKOFF: f64 = 0.5;
 
 /// Floor of the backed-off CFL scale.
 pub const MIN_CFL_SCALE: f64 = 1.0 / 64.0;
+
+/// Clean units after which a backed-off CFL scale is re-ramped one
+/// [`BACKOFF`] notch toward nominal.
+pub const RERAMP_AFTER: usize = 50;
+
+/// Units past the solver's start-up units before the divergence tests arm
+/// (start-up transients legitimately grow the residual).
+const MONITOR_GRACE: usize = 25;
+/// Divergence: the residual exceeds this multiple of the best residual
+/// seen since the grace window.
+const GROWTH_RATIO: f64 = 1e6;
+/// Divergence: the residual grew monotonically across this many units…
+const WINDOW: usize = 25;
+/// …by at least this factor overall.
+const WINDOW_GROWTH: f64 = 1e3;
 
 /// The start-up schedule of the explicit field solvers: the first
 /// `startup_steps` steps run first-order at [`STARTUP_CFL_FACTOR`] × the
@@ -349,9 +370,10 @@ pub trait Steppable {
 }
 
 /// Policy knobs for [`run_controlled`]. The reference unit comes from
-/// the solver ([`Steppable::startup_units`]); the ring depth and the
-/// backoff are the constants [`RING_DEPTH`], [`BACKOFF`] and
-/// [`MIN_CFL_SCALE`].
+/// the solver ([`Steppable::startup_units`]); the ring depth, the backoff,
+/// the re-ramp and the flight-recorder capacity are the constants
+/// [`RING_DEPTH`], [`BACKOFF`], [`MIN_CFL_SCALE`], [`RERAMP_AFTER`] and
+/// [`flight::DEFAULT_CAPACITY`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Maximum progress units (steps / stations), counted from the
@@ -365,9 +387,6 @@ pub struct RunOptions {
     pub checkpoint_every: usize,
     /// Rollback/retry budget before the failure is surfaced.
     pub max_retries: usize,
-    /// Clean units after which a backed-off CFL is re-ramped one backoff
-    /// notch toward nominal; `0` disables re-ramping.
-    pub reramp_after: usize,
     /// Drop to first-order reconstruction while backed off.
     pub first_order_fallback: bool,
     /// Write an on-disk restart file at each checkpoint.
@@ -379,9 +398,6 @@ pub struct RunOptions {
     /// Deterministic mid-run halt after this unit (the CI kill/resume
     /// drill): the controller stops and reports `halted = true`.
     pub halt_after: Option<usize>,
-    /// Flight-recorder ring capacity: how many of the most recent per-step
-    /// records survive into the post-mortem black box.
-    pub flight_ring: usize,
     /// Where [`run_recorded`] writes the black-box JSON when a
     /// [`SolverError`] escapes or the `--inject-nan` drill fires. `None`
     /// still records (the sweep engine attaches the in-memory dump to
@@ -396,13 +412,11 @@ impl Default for RunOptions {
             tol: 0.0,
             checkpoint_every: 0,
             max_retries: 3,
-            reramp_after: 50,
             first_order_fallback: false,
             checkpoint_path: None,
             restart_from: None,
             inject_nan_at: None,
             halt_after: None,
-            flight_ring: crate::flight::DEFAULT_CAPACITY,
             blackbox_path: None,
         }
     }
@@ -442,11 +456,54 @@ pub fn recoverable(e: &SolverError) -> bool {
     )
 }
 
-fn fresh_monitor(startup: usize) -> ResidualMonitor {
-    ResidualMonitor::with_options(MonitorOptions {
-        grace: startup + 25,
-        ..MonitorOptions::default()
-    })
+/// Per-unit residual record of one attempt, with NaN/Inf and divergence
+/// detection (thresholds in the module docs).
+struct ResidualMonitor {
+    history: Vec<f64>,
+    /// Best residual *after* the grace window: impulsive starts from
+    /// uniform flow begin at a near-zero residual that would make
+    /// legitimate transient growth look like divergence.
+    best: f64,
+    grace: usize,
+}
+
+impl ResidualMonitor {
+    fn new(startup: usize) -> Self {
+        Self {
+            history: Vec::new(),
+            best: f64::INFINITY,
+            grace: startup + MONITOR_GRACE,
+        }
+    }
+
+    /// Record one residual; [`SolverError::NonFinite`] (with `i` = the
+    /// unit's index in this attempt) on NaN/Inf, [`SolverError::Diverged`]
+    /// when a growth test trips.
+    fn record(&mut self, residual: f64) -> Result<(), SolverError> {
+        let iter = self.history.len();
+        self.history.push(residual);
+        if !residual.is_finite() {
+            return Err(SolverError::NonFinite {
+                field: "residual",
+                i: iter,
+                j: 0,
+            });
+        }
+        if iter >= self.grace {
+            if residual > GROWTH_RATIO * self.best {
+                return Err(SolverError::Diverged { iter, residual });
+            }
+            if iter + 1 >= WINDOW {
+                let window = &self.history[iter + 1 - WINDOW..=iter];
+                let monotone = window.windows(2).all(|p| p[1] >= p[0]);
+                if monotone && residual > WINDOW_GROWTH * window[0].max(1e-300) {
+                    return Err(SolverError::Diverged { iter, residual });
+                }
+            }
+            self.best = self.best.min(residual);
+        }
+        Ok(())
+    }
 }
 
 /// Run a [`Steppable`] solver to convergence (or through all its units)
@@ -469,16 +526,16 @@ pub fn run_controlled<S: Steppable + ?Sized>(
 
 /// [`run_controlled`] plus the flight recorder's verdict: when the run
 /// dies (or an `--inject-nan` drill fires) the second element is the
-/// post-mortem black box — the last `RunOptions::flight_ring` per-step
+/// post-mortem black box — the last [`flight::DEFAULT_CAPACITY`] per-step
 /// records with residual/CFL history, rollback events, audit findings,
-/// and equilibrium-cache hit deltas. Written to
-/// [`RunOptions::blackbox_path`] when set; always returned in memory so
-/// the sweep engine can attach it to failed case records.
+/// and equilibrium-cache hit deltas, and the retries the run consumed.
+/// Written to [`RunOptions::blackbox_path`] when set; always returned in
+/// memory so the sweep engine can attach it to failed case records.
 pub fn run_recorded<S: Steppable + ?Sized>(
     solver: &mut S,
     opts: &RunOptions,
 ) -> (Result<RunOutcome, SolverError>, Option<flight::PostMortem>) {
-    let mut recorder = flight::FlightRecorder::new(opts.flight_ring);
+    let mut recorder = flight::FlightRecorder::default();
     let mut ctl = FlightCtl {
         recorder: &mut recorder,
         injected: false,
@@ -553,7 +610,7 @@ fn run_inner<S: Steppable + ?Sized>(
     ring.push_back(solver.save_state());
 
     let startup = solver.startup_units();
-    let mut monitor = fresh_monitor(startup);
+    let mut monitor = ResidualMonitor::new(startup);
     let mut residual_history: Vec<f64> = Vec::new();
     let mut cfl_history: Vec<f64> = Vec::new();
     let mut scale = solver.cfl_scale();
@@ -617,7 +674,7 @@ fn run_inner<S: Steppable + ?Sized>(
                 };
                 fl.recorder
                     .record(unit, r, scale, event, audit_n, audit_worst);
-                if scale < 1.0 && opts.reramp_after != 0 && clean >= opts.reramp_after {
+                if scale < 1.0 && clean >= RERAMP_AFTER {
                     scale = (scale / BACKOFF).min(1.0);
                     solver.set_cfl_scale(scale);
                     trace::set_gauge(trace::Gauge::CflScale, scale);
@@ -692,8 +749,8 @@ fn run_inner<S: Steppable + ?Sized>(
                 rolled_back = true;
                 counters::add(Counter::RunRollbacks, 1);
                 // Residual history restarts from the rolled-back state.
-                residual_history.extend(monitor.into_history());
-                monitor = fresh_monitor(startup);
+                residual_history.append(&mut monitor.history);
+                monitor = ResidualMonitor::new(startup);
             }
         }
     }
@@ -705,7 +762,7 @@ fn run_inner<S: Steppable + ?Sized>(
     }
 
     let units = solver.progress();
-    residual_history.extend(monitor.into_history());
+    residual_history.append(&mut monitor.history);
     let telemetry = solver.telemetry_mut();
     telemetry.set_reference_residual(reference);
     telemetry.record_history("runctl_residual", residual_history);
@@ -725,14 +782,15 @@ fn run_inner<S: Steppable + ?Sized>(
     }
 }
 
-/// Outcome of [`retry_with_backoff`].
+/// Outcome of [`retry_with_backoff`]: on success the attempt's value, on
+/// failure (`RetryOutcome<SolverError>`) the last attempt's error.
 #[derive(Debug, Clone)]
 pub struct RetryOutcome<T> {
-    /// The successful attempt's value.
+    /// The last attempt's value or error.
     pub value: T,
-    /// Attempts retried before success.
+    /// Attempts retried after the first.
     pub retries: usize,
-    /// Scale the successful attempt ran at.
+    /// Scale the last attempt ran at.
     pub final_scale: f64,
 }
 
@@ -743,12 +801,12 @@ pub struct RetryOutcome<T> {
 /// relaxation / step-size reduction.
 ///
 /// # Errors
-/// The last attempt's error once the budget is exhausted, or immediately
-/// for non-recoverable errors.
+/// The last attempt's error, with the retries spent, once the budget is
+/// exhausted, or immediately for non-recoverable errors.
 pub fn retry_with_backoff<T>(
     max_retries: usize,
     mut attempt: impl FnMut(f64) -> Result<T, SolverError>,
-) -> Result<RetryOutcome<T>, SolverError> {
+) -> Result<RetryOutcome<T>, RetryOutcome<SolverError>> {
     let mut scale = 1.0_f64;
     let mut retries = 0usize;
     loop {
@@ -765,7 +823,13 @@ pub fn retry_with_backoff<T>(
                 scale = (scale * BACKOFF).max(MIN_CFL_SCALE);
                 counters::add(Counter::RunRollbacks, 1);
             }
-            Err(e) => return Err(e),
+            Err(e) => {
+                return Err(RetryOutcome {
+                    value: e,
+                    retries,
+                    final_scale: scale,
+                })
+            }
         }
     }
 }
@@ -970,7 +1034,6 @@ mod tests {
                 max_units: 200,
                 tol: 1e-9,
                 checkpoint_every: 5,
-                reramp_after: 0,
                 ..RunOptions::default()
             },
         )
@@ -1007,7 +1070,6 @@ mod tests {
                 tol: 1e-9,
                 checkpoint_every: 4,
                 inject_nan_at: Some(14),
-                reramp_after: 0,
                 ..RunOptions::default()
             },
         )
@@ -1218,11 +1280,87 @@ mod tests {
     }
 
     #[test]
+    fn retry_with_backoff_reports_the_retries_of_a_failure() {
+        let mut attempts = 0;
+        let fail = retry_with_backoff(3, |_| -> Result<(), SolverError> {
+            attempts += 1;
+            Err(SolverError::NonFinite {
+                field: "x",
+                i: 0,
+                j: 0,
+            })
+        })
+        .expect_err("never succeeds");
+        assert_eq!((attempts, fail.retries), (4, 3));
+        assert_eq!(fail.final_scale.to_bits(), 0.125_f64.to_bits());
+        assert!(matches!(fail.value, SolverError::NonFinite { .. }));
+    }
+
+    #[test]
     fn retry_with_backoff_passes_through_hard_errors() {
         let err = retry_with_backoff(5, |_| -> Result<(), SolverError> {
             Err(SolverError::BadInput("nope".into()))
         })
         .expect_err("bad input is not retried");
-        assert!(matches!(err, SolverError::BadInput(_)));
+        assert!(matches!(err.value, SolverError::BadInput(_)));
+        assert_eq!(err.retries, 0);
+    }
+
+    #[test]
+    fn monitor_accepts_converging_history() {
+        let mut m = ResidualMonitor::new(0);
+        for k in 0..500 {
+            m.record(0.99_f64.powi(k)).unwrap();
+        }
+        assert_eq!(m.history.len(), 500);
+        assert!(m.best < 1e-2);
+    }
+
+    #[test]
+    fn monitor_tolerates_startup_transient() {
+        // Residual grows 100x while the flow forms, then converges — the
+        // grace window (25 start-up units + 25) must keep this from
+        // tripping as divergence.
+        let mut m = ResidualMonitor::new(25);
+        for k in 0..40 {
+            m.record(1e-3 * 1.2_f64.powi(k)).unwrap();
+        }
+        for k in 0..200 {
+            m.record(0.15 * 0.95_f64.powi(k)).unwrap();
+        }
+    }
+
+    #[test]
+    fn monitor_detects_nan() {
+        let mut m = ResidualMonitor::new(0);
+        m.record(1.0).unwrap();
+        m.record(0.5).unwrap();
+        let err = m.record(f64::NAN).unwrap_err();
+        assert!(matches!(
+            err,
+            SolverError::NonFinite {
+                field: "residual",
+                i: 2,
+                j: 0
+            }
+        ));
+        assert_eq!(err.to_string(), "non-finite residual at iteration 2");
+    }
+
+    #[test]
+    fn monitor_detects_explosive_growth() {
+        let mut m = ResidualMonitor::new(0);
+        let mut r = 1e-2;
+        let mut tripped = None;
+        for iter in 0..200 {
+            r *= 2.0;
+            if let Err(e) = m.record(r) {
+                tripped = Some((iter, e));
+                break;
+            }
+        }
+        let (iter, err) = tripped.expect("divergence not detected");
+        assert!(iter < 60, "detection too slow: iter {iter}");
+        assert!(matches!(err, SolverError::Diverged { .. }));
     }
 }

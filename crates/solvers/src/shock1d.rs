@@ -12,6 +12,7 @@
 //! is recovered by a bracketed scalar solve. The stiff system is integrated
 //! with the adaptive Rosenbrock-W marcher from `aerothermo-numerics`.
 
+use crate::runctl::RetryOutcome;
 use crate::shock::{frozen_shock, ShockState};
 use aerothermo_gas::kinetics::ReactionSet;
 use aerothermo_gas::relaxation::RelaxationModel;
@@ -146,14 +147,15 @@ pub fn solve(
 /// consumed and the scale that succeeded.
 ///
 /// # Errors
-/// The last attempt's error once the budget is exhausted, or immediately
-/// for non-recoverable failures (bad upstream state, mechanism mismatch).
+/// The last attempt's error, with the retries spent, once the budget is
+/// exhausted, or immediately for non-recoverable failures (bad upstream
+/// state, mechanism mismatch).
 pub fn solve_with_retry(
     reactions: &ReactionSet,
     relaxation: &RelaxationModel,
     problem: &RelaxationProblem,
     max_retries: usize,
-) -> Result<crate::runctl::RetryOutcome<RelaxationSolution>, SolverError> {
+) -> Result<RetryOutcome<RelaxationSolution>, RetryOutcome<SolverError>> {
     crate::runctl::retry_with_backoff(max_retries, |scale| {
         solve_scaled(reactions, relaxation, problem, scale)
     })

@@ -38,6 +38,7 @@
 //! momentum and energy tridiagonals, secant on δ) and one optically thin
 //! radiative wall flux ½∫E dy.
 
+use crate::runctl::RetryOutcome;
 use aerothermo_gas::equilibrium::EquilibriumGas;
 use aerothermo_gas::error::GasError;
 use aerothermo_gas::transport::{mixture_conductivity, mixture_viscosity};
@@ -536,16 +537,20 @@ pub fn solve(gas: &EquilibriumGas, problem: &VslProblem) -> Result<VslSolution, 
 /// succeeded.
 ///
 /// # Errors
-/// The last attempt's error once the budget is exhausted, or immediately
-/// for non-recoverable failures and for preamble failures (freestream
-/// state, equilibrium shock, property table), whose inputs do not depend
-/// on the scale.
+/// The last attempt's error, with the retries spent, once the budget is
+/// exhausted, or immediately for non-recoverable failures and for preamble
+/// failures (freestream state, equilibrium shock, property table), whose
+/// inputs do not depend on the scale.
 pub fn solve_with_retry(
     gas: &EquilibriumGas,
     problem: &VslProblem,
     max_retries: usize,
-) -> Result<crate::runctl::RetryOutcome<VslSolution>, SolverError> {
-    let layer = ShockLayer::new(gas, problem)?;
+) -> Result<RetryOutcome<VslSolution>, RetryOutcome<SolverError>> {
+    let layer = ShockLayer::new(gas, problem).map_err(|value| RetryOutcome {
+        value,
+        retries: 0,
+        final_scale: 1.0,
+    })?;
     crate::runctl::retry_with_backoff(max_retries, |scale| {
         solve_scaled(gas, problem, &layer, scale)
     })

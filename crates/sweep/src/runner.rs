@@ -13,12 +13,13 @@ use aerothermo_gas::{GasModel, IdealGas};
 use aerothermo_grid::bodies::{Hemisphere, SphereCone};
 use aerothermo_grid::{stretch, StructuredGrid};
 use aerothermo_numerics::telemetry::SolverError;
+use aerothermo_numerics::trace;
 use aerothermo_solvers::blayer::{fay_riddell, newtonian_velocity_gradient, FayRiddellInputs};
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
-use aerothermo_solvers::flight::{FlightRecorder, StepEvent, Trigger};
+use aerothermo_solvers::flight::{FlightRecorder, PostMortem, StepEvent, Trigger};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
 use aerothermo_solvers::pns::{PnsOptions, PnsSolver};
-use aerothermo_solvers::runctl::{retry_with_backoff, run_recorded, RunOptions, Steppable};
+use aerothermo_solvers::runctl::{retry_with_backoff, run_recorded, RunOptions};
 use aerothermo_solvers::vsl::{solve_with_retry, VslProblem};
 
 /// Spectral band for the radiating-VSL tangent-slab transport: 0.25-1.0 µm
@@ -74,9 +75,15 @@ impl CaseFailure {
         }
     }
 
-    fn with_postmortem(mut self, pm: Option<String>) -> Self {
-        self.postmortem = pm;
-        self
+    /// A failure with a flight-recorder black box (every failed
+    /// [`run_recorded`] run leaves one): the box holds the retries consumed
+    /// and rides along as the case's post-mortem.
+    fn controlled(error: SolverError, pm: Option<PostMortem>) -> Self {
+        Self {
+            error,
+            retries: pm.as_ref().map_or(0, |p| p.retries),
+            postmortem: pm.map(|p| p.to_json()),
+        }
     }
 }
 
@@ -128,7 +135,7 @@ pub fn run_case(case: &CaseSpec) -> Result<CaseResult, CaseFailure> {
         // becomes a flight-recorder rollback record.
         let mut recorder = FlightRecorder::default();
         let mut attempt = 0usize;
-        let err = retry_with_backoff(case.max_retries, |scale| {
+        let fail = retry_with_backoff(case.max_retries, |scale| {
             attempt += 1;
             let e = SolverError::NonFinite {
                 field: "injected",
@@ -152,12 +159,12 @@ pub fn run_case(case: &CaseSpec) -> Result<CaseResult, CaseFailure> {
         let pm = recorder.post_mortem(
             "inject_fault",
             Trigger::SolverError,
-            Some(err.to_string()),
+            Some(fail.value.to_string()),
             attempt,
-            case.max_retries,
+            fail.retries,
             f64::NAN,
         );
-        return Err(CaseFailure::new(err, case.max_retries).with_postmortem(Some(pm.to_json())));
+        return Err(CaseFailure::controlled(fail.value, Some(pm)));
     }
     match &case.level {
         LevelSpec::Synthetic { work_ms, outcome } => run_synthetic(case, *work_ms, outcome),
@@ -199,7 +206,7 @@ fn run_synthetic(case: &CaseSpec, work_ms: f64, outcome: &str) -> Result<CaseRes
             Ok(res)
         }
         "fail" => {
-            let err = retry_with_backoff(case.max_retries, |_| {
+            let fail = retry_with_backoff(case.max_retries, |_| {
                 spin();
                 Err::<(), _>(SolverError::Diverged {
                     iter: 1,
@@ -207,7 +214,7 @@ fn run_synthetic(case: &CaseSpec, work_ms: f64, outcome: &str) -> Result<CaseRes
                 })
             })
             .expect_err("synthetic 'fail' never succeeds");
-            Err(CaseFailure::new(err, case.max_retries))
+            Err(CaseFailure::new(fail.value, fail.retries))
         }
         "panic" => {
             spin();
@@ -258,7 +265,7 @@ fn run_vsl(case: &CaseSpec, n_points: usize, radiating: bool) -> Result<CaseResu
         radiating,
     };
     let out = solve_with_retry(&gas, &problem, case.max_retries)
-        .map_err(|e| CaseFailure::new(e, case.max_retries))?;
+        .map_err(|f| CaseFailure::new(f.value, f.retries))?;
     let sol = out.value;
     let mut res = CaseResult {
         retries: out.retries,
@@ -340,9 +347,7 @@ fn run_euler_bl(
     let mut euler = EulerSolver::new(&grid, gas.as_ref(), inflow_bc(fs), opts, fs);
     let run_opts = cfd_run_options(case, max_steps, tol);
     let (out, pm) = run_recorded(&mut euler, &run_opts);
-    let out = out.map_err(|e| {
-        CaseFailure::new(e, case.max_retries).with_postmortem(pm.map(|p| p.to_json()))
-    })?;
+    let out = out.map_err(|e| CaseFailure::controlled(e, pm))?;
 
     let p_stag = euler.primitive(0, 0).p;
     let rho_stag = euler.primitive(0, 0).rho;
@@ -392,15 +397,12 @@ fn run_pns(
         t_wall: Some(f.t_wall),
         ..PnsOptions::default()
     };
-    // No incremental state survives a failed march; retry with a fresh
-    // solver at a backed-off relaxation scale.
-    let out = retry_with_backoff(case.max_retries, |scale| {
-        let mut pns = PnsSolver::new(&grid, gas.as_ref(), opts.clone(), fs);
-        pns.set_cfl_scale(scale);
-        pns.march(i_start)
-    })
-    .map_err(|e| CaseFailure::new(e, case.max_retries))?;
-    let sol = out.value;
+    let station_tol = opts.station_tol;
+    let mut pns = PnsSolver::new(&grid, gas.as_ref(), opts, fs, i_start);
+    let run_opts = cfd_run_options(case, grid.nci(), 0.0);
+    let (out, pm) = trace::spanned("pns_march", || run_recorded(&mut pns, &run_opts));
+    let out = out.map_err(|e| CaseFailure::controlled(e, pm))?;
+    let sol = pns.solution();
     let q_first = sol
         .wall_heat_flux
         .iter()
@@ -415,7 +417,7 @@ fn run_pns(
     let unconverged = sol
         .residual_ratio
         .iter()
-        .filter(|r| r.is_nan() || **r >= opts.station_tol)
+        .filter(|r| r.is_nan() || **r >= station_tol)
         .count();
     res.metric("q_stag_w_m2", q_first);
     res.metric("stations", sol.station_x.len() as f64);
@@ -454,9 +456,7 @@ fn run_ns(
     );
     let run_opts = cfd_run_options(case, max_steps, tol);
     let (out, pm) = run_recorded(&mut ns, &run_opts);
-    let out = out.map_err(|e| {
-        CaseFailure::new(e, case.max_retries).with_postmortem(pm.map(|p| p.to_json()))
-    })?;
+    let out = out.map_err(|e| CaseFailure::controlled(e, pm))?;
     let mut res = CaseResult {
         retries: out.retries,
         note: "full viscous relaxation".into(),

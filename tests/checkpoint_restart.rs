@@ -172,8 +172,8 @@ fn pns_checkpoint_resume_is_bitwise_identical() {
         t_wall: Some(300.0),
         ..PnsOptions::default()
     };
-    let a = PnsSolver::new(&grid, &gas, opts.clone(), fs);
-    let b = PnsSolver::new(&grid, &gas, opts, fs);
+    let a = PnsSolver::new(&grid, &gas, opts.clone(), fs, 1);
+    let b = PnsSolver::new(&grid, &gas, opts, fs, 1);
     assert_bitwise_resume(a, b, 8, 6, "pns");
 }
 

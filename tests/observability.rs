@@ -9,7 +9,7 @@ use aerothermo::gas::equilibrium::air9_equilibrium;
 use aerothermo::numerics::json::{self, Value};
 use aerothermo::numerics::trace::{self, Histogram};
 use aerothermo::solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
-use aerothermo::solvers::flight::Trigger;
+use aerothermo::solvers::flight::{Trigger, DEFAULT_CAPACITY};
 use aerothermo::solvers::runctl::{run_recorded, RunOptions};
 use aerothermo_sweep::events::normalize;
 use aerothermo_sweep::spec::{FlowSpec, GasSpec, LevelSpec};
@@ -295,17 +295,18 @@ fn hemisphere_euler() -> EulerSolver<'static> {
 #[test]
 fn flight_recorder_dumps_exactly_last_n_steps_on_injected_nan() {
     let mut solver = hemisphere_euler();
-    let ring = 8;
+    let ring = DEFAULT_CAPACITY;
+    // Rolled back to unit 40, the run records 80 more units: more than the
+    // ring holds.
     let run_opts = RunOptions {
-        max_units: 90,
+        max_units: 120,
         checkpoint_every: 10,
         inject_nan_at: Some(45),
-        flight_ring: ring,
         ..RunOptions::default()
     };
     let (out, pm) = run_recorded(&mut solver, &run_opts);
     let out = out.expect("controller absorbs the injected NaN");
-    assert_eq!(out.units, 90);
+    assert_eq!(out.units, 120);
     let pm = pm.expect("an injection drill must leave a black box");
     assert_eq!(pm.trigger, Trigger::NanInjection);
     assert!(pm.error.is_none(), "the run recovered: no terminal error");
@@ -323,7 +324,10 @@ fn flight_recorder_dumps_exactly_last_n_steps_on_injected_nan() {
         units.windows(2).all(|w| w[1] >= w[0]),
         "records must be in step order: {units:?}"
     );
-    assert!(units[0] > 45, "only post-recovery steps fit in a ring of 8");
+    assert!(
+        units[0] > 45,
+        "only post-recovery steps fit in a ring of {ring}"
+    );
     for r in &pm.records {
         assert!(r.residual.is_finite() && r.cfl_scale > 0.0);
     }
@@ -341,7 +345,6 @@ fn terminal_failure_writes_blackbox_naming_the_failing_step() {
         checkpoint_every: 10,
         inject_nan_at: Some(45),
         max_retries: 0,
-        flight_ring: 16,
         blackbox_path: Some(path.clone()),
         ..RunOptions::default()
     };

@@ -7,6 +7,7 @@ use aerothermo::gas::IdealGas;
 use aerothermo::grid::bodies::SphereCone;
 use aerothermo::grid::{stretch, StructuredGrid};
 use aerothermo::solvers::pns::{PnsOptions, PnsSolver};
+use aerothermo::solvers::runctl::{run_controlled, RunOptions};
 use aerothermo::sweep::plan::method_matrix_plan;
 use aerothermo::sweep::runner::run_case;
 
@@ -42,8 +43,13 @@ fn stations_converge_and_wall_heating_matches_the_explicit_march() {
         ..PnsOptions::default()
     };
     let tol = opts.station_tol;
-    let mut pns = PnsSolver::new(&grid, &gas, opts, fs);
-    let sol = pns.march(10).expect("clean march");
+    let mut pns = PnsSolver::new(&grid, &gas, opts, fs, 10);
+    let run_opts = RunOptions {
+        max_units: grid.nci(),
+        ..RunOptions::default()
+    };
+    run_controlled(&mut pns, &run_opts).expect("clean march");
+    let sol = pns.solution().clone();
     assert_eq!(sol.station_x.len(), 59);
 
     let converged = sol.residual_ratio.iter().filter(|r| **r < tol).count();

@@ -5,6 +5,7 @@
 
 use aerothermo_sweep::report::STRICT_EXIT_CODE;
 use aerothermo_sweep::spec::{CaseSpec, FlowSpec, GasSpec, LevelSpec};
+use aerothermo_sweep::store::load_records;
 use aerothermo_sweep::{run_sweep, CaseStatus, SweepOptions, SweepPlan};
 
 fn flow() -> FlowSpec {
@@ -140,4 +141,45 @@ fn every_failure_mode_lands_in_one_report() {
     assert_eq!(counts.failed, 2);
     assert_eq!(report.outcome("s-fail").unwrap().retries, 1);
     assert_eq!(report.exit_code(true), STRICT_EXIT_CODE);
+}
+
+#[test]
+fn a_vsl_case_failing_without_a_retry_records_zero_retries() {
+    // A subsonic freestream fails in the VSL preamble (no shock to stand
+    // off), which is not retried: the store record and the report's
+    // `total_retries` must say 0, not the case's budget of 3.
+    let mut plan = SweepPlan::new("vsl_preamble_failure");
+    plan.push(CaseSpec::new(
+        "vsl-subsonic",
+        GasSpec::Air9,
+        LevelSpec::Vsl {
+            n_points: 24,
+            radiating: false,
+        },
+        FlowSpec::new(1e-4, 200.0, 250.0, f64::NAN, 0.5, 1000.0),
+    ));
+    assert_eq!(plan.cases[0].max_retries, 3);
+    let store = std::env::temp_dir().join(format!("vsl-preamble-{}.jsonl", std::process::id()));
+    let store = store.to_string_lossy().into_owned();
+    std::fs::remove_file(&store).ok();
+    let report = run_sweep(
+        &plan,
+        &SweepOptions {
+            store_path: Some(store.clone()),
+            ..SweepOptions::default()
+        },
+    )
+    .expect("sweep records the failure");
+    let records = load_records(&store).expect("store parses");
+    std::fs::remove_file(&store).ok();
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].status, CaseStatus::Failed);
+    assert!(
+        records[0].error.as_deref().unwrap().contains("shock"),
+        "{:?}",
+        records[0].error
+    );
+    assert_eq!(records[0].retries, 0);
+    let json = report.to_json();
+    assert!(json.contains("\"total_retries\": 0,"), "{json}");
 }
